@@ -34,7 +34,7 @@ fn bench_im2col(c: &mut Criterion) {
     group.sample_size(20);
     for &(channels, size) in &[(16usize, 16usize), (64, 16), (64, 32)] {
         let mut rng = Rng::seed_from(2);
-        let x = Tensor::randn(Shape::d3(channels, size, size), &mut rng);
+        let x = Tensor::randn(Shape::d4(1, channels, size, size), &mut rng);
         let geom = Conv2dGeometry::new(channels, size, size, 3, 1, 1);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{channels}c_{size}px")),

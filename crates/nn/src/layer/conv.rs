@@ -8,6 +8,12 @@ use crate::param::Param;
 
 /// 2-D convolution with square kernels, implemented by `im2col` + GEMM.
 ///
+/// A batch is lowered a chunk of samples at a time: one `im2col` into a
+/// `[C·k·k, bs·oh·ow]` matrix and one GEMM per chunk forward, and one
+/// GEMM each for the weight and input gradients backward. Chunks hold as
+/// many samples as keep every lowered buffer within
+/// [`Conv2d::LOWERED_CHUNK_ELEMS`] floats (at least one sample).
+///
 /// The weight layout is `[out_channels, in_channels, k, k]` — axis 0 is the
 /// *filter* axis (pruned when this layer's own feature maps are dropped)
 /// and axis 1 is the *channel* axis (pruned when the previous layer's
@@ -26,6 +32,12 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
+    /// Cap, in `f32` elements, on each lowered scratch buffer of one batch
+    /// chunk: the `[C·k·k, bs·oh·ow]` columns and the `[N, bs·oh·ow]` GEMM
+    /// output or gradient. Batches are lowered in chunks of as many samples
+    /// as fit (at least one), so scratch memory stays bounded for any batch.
+    pub const LOWERED_CHUNK_ELEMS: usize = 1 << 16;
+
     /// Creates a convolution with Kaiming-normal weights and zero bias.
     pub fn new(
         in_channels: usize,
@@ -123,6 +135,13 @@ impl Conv2d {
         )
     }
 
+    /// Samples lowered together: as many as keep the largest lowered
+    /// buffer of one chunk within [`Self::LOWERED_CHUNK_ELEMS`], at least one.
+    fn chunk_len(&self, geom: &Conv2dGeometry, batch: usize) -> usize {
+        let per_sample = geom.col_rows().max(self.out_channels()) * geom.col_cols();
+        (Self::LOWERED_CHUNK_ELEMS / per_sample).clamp(1, batch.max(1))
+    }
+
     /// Forward pass over a `[B, C, H, W]` batch.
     ///
     /// # Errors
@@ -145,26 +164,41 @@ impl Conv2d {
         // The [N, C, k, k] filter bank is already the [N, C·k·k] GEMM
         // operand row-major — use it in place, no clone/reshape.
         let w2d = self.weight.value.data();
+        let bias = self.bias.value.data();
         let col_rows = geom.col_rows();
         let sample_len = geom.input_len();
+        let chunk = self.chunk_len(&geom, batch);
         let mut out = vec![0.0f32; batch * n * positions];
-        for b in 0..batch {
-            let sample = &input.data()[b * sample_len..(b + 1) * sample_len];
-            let y = &mut out[b * n * positions..(b + 1) * n * positions];
-            // Lower the sample into workspace scratch: after warm-up this
+        for b0 in (0..batch).step_by(chunk) {
+            let bs = chunk.min(batch - b0);
+            let cols = bs * positions;
+            let x = &input.data()[b0 * sample_len..][..bs * sample_len];
+            let y = &mut out[b0 * n * positions..][..bs * n * positions];
+            // Lower the chunk into workspace scratch: after warm-up this
             // whole loop performs zero heap allocations.
-            with_scratch(geom.col_len(), |col| {
-                im2col_into(sample, col, &geom);
-                gemm_ex(y, w2d, col, n, col_rows, positions, false, false, false);
-            });
-            // Broadcast bias over spatial positions.
-            for (f, &bias) in self.bias.value.data().iter().enumerate() {
-                if bias != 0.0 {
-                    for v in &mut y[f * positions..(f + 1) * positions] {
-                        *v += bias;
+            with_scratch(col_rows * cols, |col| {
+                im2col_into(x, col, &geom, bs);
+                if bs == 1 {
+                    // One sample's [N, oh·ow] product is already its output.
+                    gemm_ex(y, w2d, col, n, col_rows, cols, false, false, false);
+                    for (yf, &b) in y.chunks_mut(positions).zip(bias) {
+                        yf.iter_mut().for_each(|v| *v += b);
                     }
+                    return;
                 }
-            }
+                // [N, bs·oh·ow] → [bs, N, oh, ow], adding the bias.
+                with_scratch(n * cols, |y2| {
+                    gemm_ex(y2, w2d, col, n, col_rows, cols, false, false, false);
+                    for (f, (row, &b)) in y2.chunks(cols).zip(bias).enumerate() {
+                        for (s, src) in row.chunks(positions).enumerate() {
+                            let dst = &mut y[(s * n + f) * positions..][..positions];
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d = v + b;
+                            }
+                        }
+                    }
+                });
+            });
         }
         if train {
             self.cached_input = Some(input.clone());
@@ -201,6 +235,7 @@ impl Conv2d {
         let positions = oh * ow;
         let col_rows = geom.col_rows();
         let sample_len = geom.input_len();
+        let chunk = self.chunk_len(&geom, batch);
         // Split-borrow the parameters so the weight value (GEMM operand)
         // and the weight gradient (GEMM accumulator) can be used together.
         let Conv2d { weight, bias, .. } = self;
@@ -210,28 +245,43 @@ impl Conv2d {
         let wgrad = weight.grad.data_mut();
         let bgrad = bias.grad.data_mut();
         let mut dx = vec![0.0f32; input.len()];
-        for b in 0..batch {
-            let sample = &input.data()[b * sample_len..(b + 1) * sample_len];
-            let dy = &grad_out.data()[b * n * positions..(b + 1) * n * positions];
-            let dsample = &mut dx[b * sample_len..(b + 1) * sample_len];
-            with_scratch(geom.col_len(), |col| {
-                // Recomputed im2col: trades FLOPs for activation memory.
-                im2col_into(sample, col, &geom);
-                // dW += dY · colᵀ
-                gemm_ex(wgrad, dy, col, n, positions, col_rows, false, true, true);
-                with_scratch(geom.col_len(), |dcol| {
-                    // dX = col2im(Wᵀ · dY)
-                    gemm_ex(dcol, w2d, dy, col_rows, n, positions, true, false, false);
-                    col2im_into(dcol, dsample, &geom, false);
-                });
-            });
-            // db += Σ_positions dY
+        for b0 in (0..batch).step_by(chunk) {
+            let bs = chunk.min(batch - b0);
+            let cols = bs * positions;
+            let x = &input.data()[b0 * sample_len..][..bs * sample_len];
+            let dxc = &mut dx[b0 * sample_len..][..bs * sample_len];
+            let dy = &grad_out.data()[b0 * n * positions..][..bs * n * positions];
+            // db += Σ_samples Σ_positions dY
             for (f, g) in bgrad.iter_mut().enumerate() {
-                *g += dy[f * positions..(f + 1) * positions]
-                    .iter()
+                *g += (0..bs)
+                    .flat_map(|s| &dy[(s * n + f) * positions..][..positions])
                     .map(|&v| v as f64)
                     .sum::<f64>() as f32;
             }
+            let mut lowered = |dy2: &[f32]| {
+                with_scratch(col_rows * cols, |col| {
+                    // Recomputed im2col: trades FLOPs for activation memory.
+                    im2col_into(x, col, &geom, bs);
+                    // dW += dY₂ · colᵀ
+                    gemm_ex(wgrad, dy2, col, n, cols, col_rows, false, true, true);
+                    // dX = col2im(Wᵀ · dY₂), reusing the spent columns.
+                    gemm_ex(col, w2d, dy2, col_rows, n, cols, true, false, false);
+                    col2im_into(col, dxc, &geom, bs, false);
+                });
+            };
+            if bs == 1 {
+                lowered(dy);
+                continue;
+            }
+            // [bs, N, oh, ow] → [N, bs·oh·ow], the GEMMs' operand layout.
+            with_scratch(n * cols, |dy2| {
+                for (f, row) in dy2.chunks_mut(cols).enumerate() {
+                    for (s, dst) in row.chunks_mut(positions).enumerate() {
+                        dst.copy_from_slice(&dy[(s * n + f) * positions..][..positions]);
+                    }
+                }
+                lowered(dy2);
+            });
         }
         Ok(Tensor::from_vec(in_shape, dx)?)
     }
@@ -388,5 +438,109 @@ mod tests {
         for (a, b) in g1.data().iter().zip(g2.data()) {
             assert!((2.0 * a - b).abs() < 1e-4, "{a} {b}");
         }
+    }
+
+    /// `|got - want| <= 1e-5 · max(1, max|want|)` elementwise.
+    fn assert_close(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        let scale = want.iter().fold(1.0f32, |m, v| m.max(v.abs()));
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-5 * scale,
+                "{what}[{i}]: {g} vs {w} (scale {scale})"
+            );
+        }
+    }
+
+    /// Output, dW, db and dX of a fwd+bwd over the whole batch.
+    fn batched(conv: &mut Conv2d, x: &Tensor, dy: &Tensor) -> [Vec<f32>; 4] {
+        conv.weight.zero_grad();
+        conv.bias.zero_grad();
+        let y = conv.forward(x, true).unwrap();
+        let dx = conv.backward(dy).unwrap();
+        [
+            y.data().to_vec(),
+            conv.weight.grad.data().to_vec(),
+            conv.bias.grad.data().to_vec(),
+            dx.data().to_vec(),
+        ]
+    }
+
+    /// The same four results, one sample per forward/backward call.
+    fn per_sample(conv: &mut Conv2d, x: &Tensor, dy: &Tensor) -> [Vec<f32>; 4] {
+        conv.weight.zero_grad();
+        conv.bias.zero_grad();
+        let (mut y, mut dx) = (Vec::new(), Vec::new());
+        for b in 0..x.shape().dim(0) {
+            let xb = x.index_select(0, &[b]).unwrap();
+            y.extend_from_slice(conv.forward(&xb, true).unwrap().data());
+            let dyb = dy.index_select(0, &[b]).unwrap();
+            dx.extend_from_slice(conv.backward(&dyb).unwrap().data());
+        }
+        [
+            y,
+            conv.weight.grad.data().to_vec(),
+            conv.bias.grad.data().to_vec(),
+            dx,
+        ]
+    }
+
+    #[test]
+    fn batched_lowering_matches_per_sample_reference() {
+        // (in, out, kernel, stride, padding, input extent): "same" 3×3,
+        // strided, unpadded 5×5, and a 1×1 whose filter count exceeds its
+        // lowered rows (so the output buffer sets the chunk).
+        for &(c, n, k, s, p, hw) in &[
+            (4, 8, 3, 1, 1, 16),
+            (4, 6, 3, 2, 1, 31),
+            (3, 5, 5, 1, 0, 20),
+            (6, 16, 1, 1, 0, 16),
+        ] {
+            let mut rng = Rng::seed_from(c as u64 * 100 + k as u64);
+            let mut conv = Conv2d::new(c, n, k, s, p, &mut rng);
+            conv.bias.value = Tensor::randn(Shape::d1(n), &mut rng);
+            let chunk = conv.chunk_len(&conv.geometry(hw, hw), usize::MAX);
+            assert!(chunk >= 2, "chunk {chunk} too small to cover cap - 1");
+            for batch in [1, chunk - 1, chunk, chunk + 1, 2 * chunk + chunk / 2 + 1] {
+                let x = Tensor::randn(Shape::d4(batch, c, hw, hw), &mut rng);
+                let oh = (hw + 2 * p - k) / s + 1;
+                let dy = Tensor::randn(Shape::d4(batch, n, oh, oh), &mut rng);
+                let got = batched(&mut conv, &x, &dy);
+                let want = per_sample(&mut conv, &x, &dy);
+                for (what, (g, w)) in ["y", "dW", "db", "dX"].iter().zip(got.iter().zip(&want)) {
+                    assert_close(g, w, &format!("k={k} s={s} batch={batch} {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_of_one_is_bit_identical_to_one_lowered_gemm() {
+        let mut rng = Rng::seed_from(8);
+        let mut conv = Conv2d::new(5, 7, 3, 1, 1, &mut rng);
+        conv.bias.value = Tensor::randn(Shape::d1(7), &mut rng);
+        let x = Tensor::randn(Shape::d4(1, 5, 9, 9), &mut rng);
+        let geom = conv.geometry(9, 9);
+        let mut col = vec![0.0f32; geom.col_len()];
+        im2col_into(x.data(), &mut col, &geom, 1);
+        let mut want = vec![0.0f32; 7 * geom.col_cols()];
+        let w = conv.weight.value.data();
+        gemm_ex(
+            &mut want,
+            w,
+            &col,
+            7,
+            geom.col_rows(),
+            geom.col_cols(),
+            false,
+            false,
+            false,
+        );
+        for (yf, &b) in want.chunks_mut(geom.col_cols()).zip(conv.bias.value.data()) {
+            yf.iter_mut().for_each(|v| *v += b);
+        }
+        let got = conv.forward(&x, false).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.data()), bits(&want));
     }
 }

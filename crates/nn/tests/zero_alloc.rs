@@ -14,9 +14,14 @@ use hs_tensor::{workspace, Rng, Shape, Tensor};
 fn conv_forward_backward_is_zero_alloc_after_warmup() {
     let mut rng = Rng::seed_from(42);
     // Small enough to stay on the calling thread (below the parallel
-    // thresholds), large enough to exercise im2col + both GEMMs.
-    let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
-    let x = Tensor::randn(Shape::d4(2, 3, 12, 12), &mut rng);
+    // thresholds), large enough to exercise im2col + both GEMMs, and a
+    // batch spanning three lowered chunks (16 + 16 + 8 samples), so the
+    // scatter/gather buffers of full and partial chunks are covered.
+    const BATCH: usize = 40;
+    let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+    let x = Tensor::randn(Shape::d4(BATCH, 3, 12, 12), &mut rng);
+    let per_sample = 3 * 3 * 3 * 12 * 12;
+    assert!(BATCH * per_sample > 2 * Conv2d::LOWERED_CHUNK_ELEMS);
 
     // Warm-up: populates this thread's arena with every buffer size the
     // fwd+bwd path checks out.

@@ -713,6 +713,10 @@ mod tests {
     use hs_nn::models;
     use hs_tensor::{Rng, Shape};
 
+    /// Every batch trips the process-global `slow_infer` fault site, so
+    /// each test that runs an engine holds `fault_test_lock` for its whole
+    /// body: otherwise its batches could consume the hits a sibling test
+    /// armed.
     fn tiny_engine(cfg: ServeConfig) -> ServeEngine {
         let mut rng = Rng::seed_from(7);
         let net = models::lenet(1, 4, 8, 0.5, &mut rng).unwrap();
@@ -734,6 +738,7 @@ mod tests {
 
     #[test]
     fn full_batch_flushes_at_arrival_partial_batch_lingers() {
+        let _guard = crate::fault_test_lock();
         let cfg = ServeConfig {
             queue_capacity: 8,
             batch_max: 2,
@@ -765,6 +770,7 @@ mod tests {
 
     #[test]
     fn sheds_hopeless_deadlines_at_admission() {
+        let _guard = crate::fault_test_lock();
         let cfg = ServeConfig {
             batch_max: 2,
             base_cost: 1_000,
@@ -790,6 +796,7 @@ mod tests {
 
     #[test]
     fn predictions_match_direct_inference() {
+        let _guard = crate::fault_test_lock();
         let cfg = ServeConfig {
             batch_max: 4,
             linger: 10,

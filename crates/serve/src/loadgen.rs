@@ -598,6 +598,8 @@ mod tests {
     use hs_nn::models;
     use hs_tensor::{Shape, Tensor};
 
+    /// Callers hold `fault_test_lock`: every batch trips the global
+    /// `slow_infer` fault site (see the engine tests).
     fn engine() -> ServeEngine {
         let mut rng = Rng::seed_from(7);
         let net = models::lenet(1, 4, 8, 0.5, &mut rng).unwrap();
@@ -728,6 +730,7 @@ mod tests {
 
     #[test]
     fn open_loop_accounts_for_every_request() {
+        let _guard = crate::fault_test_lock();
         let spec = LoadSpec {
             requests: 20,
             gap: 500,
@@ -745,6 +748,7 @@ mod tests {
 
     #[test]
     fn closed_loop_issues_exactly_the_requested_count() {
+        let _guard = crate::fault_test_lock();
         let spec = LoadSpec {
             requests: 15,
             concurrency: 3,

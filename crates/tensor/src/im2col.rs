@@ -2,16 +2,18 @@
 //!
 //! This is the same strategy cuDNN-era GPU frameworks used and the reason
 //! structured (channel/filter) pruning maps directly to smaller GEMMs on
-//! GPGPUs — the premise of the HeadStart paper. A `[C, H, W]` input patch
-//! grid becomes a `[C·kh·kw, oh·ow]` matrix; convolving with filters
-//! `[N, C·kh·kw]` is then a single matmul per sample.
+//! GPGPUs — the premise of the HeadStart paper. A batch of `B` `[C, H, W]`
+//! inputs becomes one `[C·kh·kw, B·oh·ow]` matrix whose columns are grouped
+//! by sample; convolving with filters `[N, C·kh·kw]` is then a single
+//! matmul for the whole batch, wide enough to keep the GEMM's register
+//! tiles full even when each sample has only a few output positions.
 //!
 //! The `_into` variants ([`im2col_into`], [`col2im_into`]) lower into a
 //! caller-owned slice — typically scratch from [`crate::workspace`] — so
-//! hot loops perform no heap allocation, and they parallelize over
-//! channels on the persistent [`crate::pool`] for large feature maps.
-//! Each channel owns a disjoint slice of the output, so results are
-//! bit-identical for every thread count.
+//! hot loops perform no heap allocation, and they parallelize on the
+//! persistent [`crate::pool`] for large matrices. Each task owns a disjoint
+//! slice of the output, so results are bit-identical for every thread
+//! count.
 
 use crate::error::TensorError;
 use crate::pool;
@@ -125,16 +127,23 @@ impl Conv2dGeometry {
 }
 
 /// Gathers one input channel's patches into its `k·k` rows of the lowered
-/// matrix. `out` must be pre-zeroed (padding cells stay zero).
-fn im2col_channel(plane: &[f32], out_rows: &mut [f32], geom: &Conv2dGeometry) {
+/// matrix. Each row is `row_stride` columns long and this plane's
+/// `oh·ow` columns start at `col0`. `out_rows` must be pre-zeroed (padding
+/// cells stay zero).
+fn im2col_channel(
+    plane: &[f32],
+    out_rows: &mut [f32],
+    row_stride: usize,
+    col0: usize,
+    geom: &Conv2dGeometry,
+) {
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let k = geom.kernel;
-    let cols = oh * ow;
     let (h, w) = (geom.in_h as isize, geom.in_w as isize);
     for ky in 0..k {
         for kx in 0..k {
-            let row = ky * k + kx;
-            let dst = &mut out_rows[row * cols..(row + 1) * cols];
+            let start = (ky * k + kx) * row_stride + col0;
+            let dst = &mut out_rows[start..start + oh * ow];
             for oy in 0..oh {
                 let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
                 if iy < 0 || iy >= h {
@@ -153,16 +162,22 @@ fn im2col_channel(plane: &[f32], out_rows: &mut [f32], geom: &Conv2dGeometry) {
     }
 }
 
-/// Scatters one channel's `k·k` lowered rows back onto its input plane.
-fn col2im_channel(col_rows: &[f32], plane: &mut [f32], geom: &Conv2dGeometry) {
+/// Scatters one channel's `k·k` lowered rows (layout as in
+/// [`im2col_channel`]) back onto its input plane.
+fn col2im_channel(
+    col_rows: &[f32],
+    row_stride: usize,
+    col0: usize,
+    plane: &mut [f32],
+    geom: &Conv2dGeometry,
+) {
     let (oh, ow) = (geom.out_h(), geom.out_w());
     let k = geom.kernel;
-    let cols = oh * ow;
     let (h, w) = (geom.in_h as isize, geom.in_w as isize);
     for ky in 0..k {
         for kx in 0..k {
-            let row = ky * k + kx;
-            let col_row = &col_rows[row * cols..(row + 1) * cols];
+            let start = (ky * k + kx) * row_stride + col0;
+            let col_row = &col_rows[start..start + oh * ow];
             for oy in 0..oh {
                 let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
                 if iy < 0 || iy >= h {
@@ -181,70 +196,88 @@ fn col2im_channel(col_rows: &[f32], plane: &mut [f32], geom: &Conv2dGeometry) {
     }
 }
 
-/// Lowers one `[C, H, W]` sample (as a flat slice) into a caller-owned
-/// `[C·k·k, oh·ow]` buffer without allocating. Large feature maps
-/// parallelize over channels on the persistent pool.
+/// Lowers `batch` consecutive `[C, H, W]` samples (a flat `[B, C, H, W]`
+/// slice) into a caller-owned `[C·k·k, B·oh·ow]` buffer without
+/// allocating. Sample `b` owns columns `b·oh·ow..(b+1)·oh·ow` of every row,
+/// so `batch = 1` is the single-sample `[C·k·k, oh·ow]` layout. Large
+/// matrices parallelize over channels on the persistent pool.
 ///
 /// # Panics
 ///
-/// Panics if `input` or `out` lengths disagree with `geom`.
-pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Conv2dGeometry) {
+/// Panics if `input` or `out` lengths disagree with `geom` and `batch`.
+pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Conv2dGeometry, batch: usize) {
     assert_eq!(
         input.len(),
-        geom.input_len(),
+        batch * geom.input_len(),
         "im2col_into: input length mismatch"
     );
     assert_eq!(
         out.len(),
-        geom.col_len(),
+        batch * geom.col_len(),
         "im2col_into: output length mismatch"
     );
     telem::im2col_calls().inc();
     telem::im2col_bytes().add(std::mem::size_of_val(out) as u64);
     out.fill(0.0);
+    if batch == 0 {
+        return;
+    }
     let plane = geom.in_h * geom.in_w;
-    let rows_per_c = geom.kernel * geom.kernel * geom.col_cols();
-    let run = |c0: usize, c1: usize, out: &mut [f32]| {
-        for c in c0..c1 {
+    let positions = geom.col_cols();
+    let row_stride = batch * positions;
+    let rows_per_c = geom.kernel * geom.kernel * row_stride;
+    let run = |c: usize, rows: &mut [f32]| {
+        for b in 0..batch {
+            let src = (b * geom.in_channels + c) * plane;
             im2col_channel(
-                &input[c * plane..(c + 1) * plane],
-                &mut out[(c - c0) * rows_per_c..(c - c0 + 1) * rows_per_c],
+                &input[src..src + plane],
+                rows,
+                row_stride,
+                b * positions,
                 geom,
             );
         }
     };
     if out.len() < PARALLEL_ELEMS || geom.in_channels < 2 {
-        run(0, geom.in_channels, out);
+        for (c, rows) in out.chunks_mut(rows_per_c).enumerate() {
+            run(c, rows);
+        }
         return;
     }
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .chunks_mut(rows_per_c)
         .enumerate()
-        .map(|(c, chunk)| {
+        .map(|(c, rows)| {
             let run = &run;
-            Box::new(move || run(c, c + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
+            Box::new(move || run(c, rows)) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
     pool::run_tasks(tasks);
 }
 
-/// Adjoint of [`im2col_into`]: scatters a `[C·k·k, oh·ow]` patch-matrix
-/// gradient (flat slice) onto a caller-owned `[C, H, W]` buffer. Overlapping
-/// windows accumulate; with `accumulate = false` the output is zeroed
-/// first, otherwise the scatter adds to its existing contents.
+/// Adjoint of [`im2col_into`]: scatters a `[C·k·k, B·oh·ow]` patch-matrix
+/// gradient (flat slice) onto a caller-owned `[B, C, H, W]` buffer.
+/// Overlapping windows accumulate; with `accumulate = false` the output is
+/// zeroed first, otherwise the scatter adds to its existing contents.
 ///
 /// # Panics
 ///
-/// Panics if `col` or `out` lengths disagree with `geom`.
-pub fn col2im_into(col: &[f32], out: &mut [f32], geom: &Conv2dGeometry, accumulate: bool) {
+/// Panics if `col` or `out` lengths disagree with `geom` and `batch`.
+pub fn col2im_into(
+    col: &[f32],
+    out: &mut [f32],
+    geom: &Conv2dGeometry,
+    batch: usize,
+    accumulate: bool,
+) {
     assert_eq!(
         col.len(),
-        geom.col_len(),
+        batch * geom.col_len(),
         "col2im_into: column length mismatch"
     );
     assert_eq!(
         out.len(),
-        geom.input_len(),
+        batch * geom.input_len(),
         "col2im_into: output length mismatch"
     );
     telem::col2im_calls().inc();
@@ -252,42 +285,60 @@ pub fn col2im_into(col: &[f32], out: &mut [f32], geom: &Conv2dGeometry, accumula
         out.fill(0.0);
     }
     let plane = geom.in_h * geom.in_w;
-    let rows_per_c = geom.kernel * geom.kernel * geom.col_cols();
-    let run = |c0: usize, c1: usize, out: &mut [f32]| {
-        for c in c0..c1 {
+    let positions = geom.col_cols();
+    let row_stride = batch * positions;
+    let rows_per_c = geom.kernel * geom.kernel * row_stride;
+    // Plane `i` of the output is sample `i / C`, channel `i % C`.
+    let run = |first: usize, planes: &mut [f32]| {
+        for (i, dst) in planes.chunks_mut(plane).enumerate() {
+            let (b, c) = (
+                (first + i) / geom.in_channels,
+                (first + i) % geom.in_channels,
+            );
             col2im_channel(
                 &col[c * rows_per_c..(c + 1) * rows_per_c],
-                &mut out[(c - c0) * plane..(c - c0 + 1) * plane],
+                row_stride,
+                b * positions,
+                dst,
                 geom,
             );
         }
     };
-    if col.len() < PARALLEL_ELEMS || geom.in_channels < 2 {
-        run(0, geom.in_channels, out);
+    let planes = batch * geom.in_channels;
+    if col.len() < PARALLEL_ELEMS || planes < 2 {
+        run(0, out);
         return;
     }
+    // One task per channel plane for a single sample, one per sample
+    // otherwise: the split depends on the shapes only, never on timing.
+    let per_task = if batch == 1 { 1 } else { geom.in_channels };
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(plane)
+        .chunks_mut(per_task * plane)
         .enumerate()
-        .map(|(c, chunk)| {
+        .map(|(t, chunk)| {
             let run = &run;
-            Box::new(move || run(c, c + 1, chunk)) as Box<dyn FnOnce() + Send + '_>
+            Box::new(move || run(t * per_task, chunk)) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
     pool::run_tasks(tasks);
 }
 
-/// Lowers one `[C, H, W]` sample to the `[C·k·k, oh·ow]` patch matrix.
+/// Lowers a `[B, C, H, W]` batch to the `[C·k·k, B·oh·ow]` patch matrix.
 ///
 /// Allocates a fresh tensor; hot paths should prefer [`im2col_into`] with
 /// workspace scratch.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `input` is not rank 3 or its
-/// dimensions disagree with the geometry.
+/// Returns [`TensorError::ShapeMismatch`] if `input` is not rank 4 or its
+/// `[C, H, W]` dimensions disagree with the geometry.
 pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorError> {
-    let want = Shape::d3(geom.in_channels, geom.in_h, geom.in_w);
+    let batch = if input.shape().rank() == 4 {
+        input.shape().dim(0)
+    } else {
+        0
+    };
+    let want = Shape::d4(batch.max(1), geom.in_channels, geom.in_h, geom.in_w);
     if input.shape() != &want {
         return Err(TensorError::ShapeMismatch {
             op: "im2col",
@@ -295,23 +346,29 @@ pub fn im2col(input: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorErr
             rhs: want,
         });
     }
-    let mut out = vec![0.0f32; geom.col_len()];
-    im2col_into(input.data(), &mut out, geom);
-    Tensor::from_vec(Shape::d2(geom.col_rows(), geom.col_cols()), out)
+    let mut out = vec![0.0f32; batch * geom.col_len()];
+    im2col_into(input.data(), &mut out, geom, batch);
+    Tensor::from_vec(Shape::d2(geom.col_rows(), batch * geom.col_cols()), out)
 }
 
-/// Adjoint of [`im2col`]: scatters a `[C·k·k, oh·ow]` patch-matrix gradient
-/// back onto a `[C, H, W]` input gradient (overlaps accumulate).
+/// Adjoint of [`im2col`]: scatters a `[C·k·k, B·oh·ow]` patch-matrix
+/// gradient back onto a `[B, C, H, W]` input gradient (overlaps
+/// accumulate). The batch `B` is the column count over `oh·ow`.
 ///
 /// Allocates a fresh tensor; hot paths should prefer [`col2im_into`] with
 /// workspace scratch.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `col` does not have the
-/// geometry's lowered shape.
+/// Returns [`TensorError::ShapeMismatch`] if `col` is not a lowered matrix
+/// of one or more samples of the geometry.
 pub fn col2im(col: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorError> {
-    let want = Shape::d2(geom.col_rows(), geom.col_cols());
+    let batch = if col.shape().rank() == 2 {
+        col.shape().dim(1) / geom.col_cols()
+    } else {
+        0
+    };
+    let want = Shape::d2(geom.col_rows(), batch.max(1) * geom.col_cols());
     if col.shape() != &want {
         return Err(TensorError::ShapeMismatch {
             op: "col2im",
@@ -319,9 +376,12 @@ pub fn col2im(col: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorError
             rhs: want,
         });
     }
-    let mut out = vec![0.0f32; geom.input_len()];
-    col2im_into(col.data(), &mut out, geom, false);
-    Tensor::from_vec(Shape::d3(geom.in_channels, geom.in_h, geom.in_w), out)
+    let mut out = vec![0.0f32; batch * geom.input_len()];
+    col2im_into(col.data(), &mut out, geom, batch, false);
+    Tensor::from_vec(
+        Shape::d4(batch, geom.in_channels, geom.in_h, geom.in_w),
+        out,
+    )
 }
 
 #[cfg(test)]
@@ -355,7 +415,7 @@ mod tests {
     fn im2col_identity_kernel1() {
         // With k=1, s=1, p=0 the lowered matrix is the input reshaped.
         let mut rng = Rng::seed_from(1);
-        let x = Tensor::randn(Shape::d3(4, 5, 5), &mut rng);
+        let x = Tensor::randn(Shape::d4(1, 4, 5, 5), &mut rng);
         let g = Conv2dGeometry::new(4, 5, 5, 1, 1, 0);
         let col = im2col(&x, &g).unwrap();
         assert_eq!(col.data(), x.data());
@@ -365,7 +425,7 @@ mod tests {
     fn im2col_manual_3x3() {
         // 1 channel, 3x3 input, 3x3 kernel, no padding → single output
         // position: the column is the flattened input itself.
-        let x = Tensor::from_fn(Shape::d3(1, 3, 3), |i| (i[1] * 3 + i[2]) as f32);
+        let x = Tensor::from_fn(Shape::d4(1, 1, 3, 3), |i| (i[2] * 3 + i[3]) as f32);
         let g = Conv2dGeometry::new(1, 3, 3, 3, 1, 0);
         let col = im2col(&x, &g).unwrap();
         assert_eq!(col.shape(), &Shape::d2(9, 1));
@@ -374,7 +434,7 @@ mod tests {
 
     #[test]
     fn im2col_padding_zeros() {
-        let x = Tensor::ones(Shape::d3(1, 2, 2));
+        let x = Tensor::ones(Shape::d4(1, 1, 2, 2));
         let g = Conv2dGeometry::new(1, 2, 2, 3, 1, 1);
         let col = im2col(&x, &g).unwrap();
         // Top-left output position: kernel window centered at (0,0) —
@@ -387,9 +447,15 @@ mod tests {
 
     #[test]
     fn im2col_rejects_wrong_shape() {
-        let x = Tensor::zeros(Shape::d3(2, 4, 4));
+        let x = Tensor::zeros(Shape::d4(1, 2, 4, 4));
         let g = Conv2dGeometry::new(3, 4, 4, 3, 1, 1);
         assert!(im2col(&x, &g).is_err());
+        // A lone [C, H, W] sample is not a batch.
+        let sample = Tensor::zeros(Shape::d3(3, 4, 4));
+        assert!(im2col(&sample, &g).is_err());
+        // Columns must be a whole number of samples.
+        let ragged = Tensor::zeros(Shape::d2(g.col_rows(), g.col_cols() + 1));
+        assert!(col2im(&ragged, &g).is_err());
     }
 
     #[test]
@@ -398,8 +464,8 @@ mod tests {
         // which is exactly what backprop correctness requires.
         let mut rng = Rng::seed_from(7);
         let g = Conv2dGeometry::new(3, 6, 6, 3, 2, 1);
-        let x = Tensor::randn(Shape::d3(3, 6, 6), &mut rng);
-        let y = Tensor::randn(Shape::d2(g.col_rows(), g.col_cols()), &mut rng);
+        let x = Tensor::randn(Shape::d4(3, 3, 6, 6), &mut rng);
+        let y = Tensor::randn(Shape::d2(g.col_rows(), 3 * g.col_cols()), &mut rng);
         let lhs: f32 = im2col(&x, &g)
             .unwrap()
             .data()
@@ -419,6 +485,65 @@ mod tests {
         );
     }
 
+    /// Lowers and scatters `batch` samples one at a time through the
+    /// single-sample layout, then interleaves the columns by sample.
+    fn per_sample_reference(
+        x: &[f32],
+        dcol: &[f32],
+        g: &Conv2dGeometry,
+        batch: usize,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (p, rows) = (g.col_cols(), g.col_rows());
+        let mut col = vec![0.0f32; batch * g.col_len()];
+        let mut dx = vec![0.0f32; batch * g.input_len()];
+        let mut one = vec![0.0f32; g.col_len()];
+        for b in 0..batch {
+            im2col_into(
+                &x[b * g.input_len()..(b + 1) * g.input_len()],
+                &mut one,
+                g,
+                1,
+            );
+            for r in 0..rows {
+                col[r * batch * p + b * p..][..p].copy_from_slice(&one[r * p..][..p]);
+                one[r * p..][..p].copy_from_slice(&dcol[r * batch * p + b * p..][..p]);
+            }
+            col2im_into(
+                &one,
+                &mut dx[b * g.input_len()..(b + 1) * g.input_len()],
+                g,
+                1,
+                false,
+            );
+        }
+        (col, dx)
+    }
+
+    #[test]
+    fn batched_lowering_matches_per_sample_bitwise() {
+        // Covers the serial path (small) and both pooled task splits
+        // (batch 1 by channel, batch > 1 by sample).
+        let mut rng = Rng::seed_from(9);
+        for &(c, hw, k, s, p, batch) in &[
+            (3, 7, 3, 2, 1, 0),
+            (3, 7, 3, 2, 1, 4),
+            (2, 5, 1, 1, 0, 3),
+            (8, 40, 3, 1, 1, 1),
+            (8, 24, 5, 1, 2, 3),
+        ] {
+            let g = Conv2dGeometry::new(c, hw, hw, k, s, p);
+            let x: Vec<f32> = (0..batch * g.input_len()).map(|_| rng.normal()).collect();
+            let dcol: Vec<f32> = (0..batch * g.col_len()).map(|_| rng.normal()).collect();
+            let (want_col, want_dx) = per_sample_reference(&x, &dcol, &g, batch);
+            let mut col = vec![0.0f32; batch * g.col_len()];
+            im2col_into(&x, &mut col, &g, batch);
+            assert_eq!(col, want_col, "im2col c={c} hw={hw} k={k} batch={batch}");
+            let mut dx = vec![0.0f32; batch * g.input_len()];
+            col2im_into(&dcol, &mut dx, &g, batch, false);
+            assert_eq!(dx, want_dx, "col2im c={c} hw={hw} k={k} batch={batch}");
+        }
+    }
+
     #[test]
     fn col2im_accumulates_overlaps() {
         // k=2, s=1, no padding on a 3-wide input: middle pixel is covered
@@ -427,9 +552,9 @@ mod tests {
         let ones = Tensor::ones(Shape::d2(g.col_rows(), g.col_cols()));
         let im = col2im(&ones, &g).unwrap();
         // Coverage counts: corners 1, horizontal-middle 2 (ow=2, oh=1).
-        assert_eq!(im.at(&[0, 0, 0]), 1.0);
-        assert_eq!(im.at(&[0, 0, 1]), 2.0);
-        assert_eq!(im.at(&[0, 0, 2]), 1.0);
+        assert_eq!(im.at(&[0, 0, 0, 0]), 1.0);
+        assert_eq!(im.at(&[0, 0, 0, 1]), 2.0);
+        assert_eq!(im.at(&[0, 0, 0, 2]), 1.0);
     }
 
     #[test]
@@ -446,7 +571,7 @@ mod tests {
         // serial lowering.
         let mut rng = Rng::seed_from(9);
         let g = Conv2dGeometry::new(8, 40, 40, 3, 1, 1);
-        let x = Tensor::randn(Shape::d3(8, 40, 40), &mut rng);
+        let x = Tensor::randn(Shape::d4(1, 8, 40, 40), &mut rng);
         assert!(g.col_len() >= PARALLEL_ELEMS);
         let col = im2col(&x, &g).unwrap();
         let mut want = vec![0.0f32; g.col_len()];
@@ -456,6 +581,8 @@ mod tests {
             im2col_channel(
                 &x.data()[c * plane..(c + 1) * plane],
                 &mut want[c * rows_per_c..(c + 1) * rows_per_c],
+                g.col_cols(),
+                0,
                 &g,
             );
         }
@@ -467,9 +594,9 @@ mod tests {
         let g = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
         let col = vec![1.0f32; g.col_len()];
         let mut fresh = vec![0.0f32; g.input_len()];
-        col2im_into(&col, &mut fresh, &g, false);
+        col2im_into(&col, &mut fresh, &g, 1, false);
         let mut twice = fresh.clone();
-        col2im_into(&col, &mut twice, &g, true);
+        col2im_into(&col, &mut twice, &g, 1, true);
         for (t, f) in twice.iter().zip(&fresh) {
             assert_eq!(*t, 2.0 * f);
         }

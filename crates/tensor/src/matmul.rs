@@ -320,7 +320,9 @@ pub fn gemm_ex(
     telem::gemm_flops().add(2 * work as u64);
     if work < SMALL_THRESHOLD {
         // No timing here: two clock reads would be measurable against a
-        // few thousand multiply-accumulates.
+        // few thousand multiply-accumulates. The FLOPs are tallied apart so
+        // the timed rate can leave them out.
+        telem::gemm_small_flops().add(2 * work as u64);
         gemm_small(out, a, b, m, k, n, trans_a, trans_b);
         return;
     }
@@ -661,5 +663,20 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(a.matmul(&b).unwrap().data(), first.data());
         }
+    }
+
+    #[test]
+    fn small_path_flops_are_counted_apart_from_timed_ones() {
+        // Counters are process-global and sibling tests run GEMMs
+        // concurrently, so only lower bounds on the deltas are exact.
+        let (m, k, n) = (4, 5, 6);
+        assert!(m * k * n < SMALL_THRESHOLD);
+        let before = telem::gemm_small_flops().get();
+        let mut out = vec![0.0f32; m * n];
+        gemm_ex(
+            &mut out, &[1.0; 20], &[1.0; 30], m, k, n, false, false, false,
+        );
+        assert!(telem::gemm_small_flops().get() - before >= (2 * m * k * n) as u64);
+        assert!(telem::gemm_small_flops().get() <= telem::gemm_flops().get());
     }
 }

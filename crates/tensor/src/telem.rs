@@ -20,6 +20,7 @@ macro_rules! cached_counter {
 
 cached_counter!(gemm_calls, "hs_tensor_gemm_calls_total");
 cached_counter!(gemm_flops, "hs_tensor_gemm_flops_total");
+cached_counter!(gemm_small_flops, "hs_tensor_gemm_small_flops_total");
 cached_counter!(im2col_calls, "hs_tensor_im2col_calls_total");
 cached_counter!(im2col_bytes, "hs_tensor_im2col_bytes_total");
 cached_counter!(col2im_calls, "hs_tensor_col2im_calls_total");
@@ -28,7 +29,9 @@ cached_counter!(pool_tasks, "hs_tensor_pool_tasks_total");
 
 /// Wall-clock seconds of blocked (non-naive) GEMM calls. The naive
 /// small-problem path skips timing: two `Instant` reads would be
-/// measurable against a few thousand multiply-accumulates.
+/// measurable against a few thousand multiply-accumulates. Its FLOPs are
+/// counted apart in `hs_tensor_gemm_small_flops_total`, so the timed rate
+/// is `(gemm_flops - gemm_small_flops) / gemm_secs`.
 pub(crate) fn gemm_secs() -> &'static Histogram {
     static HANDLE: OnceLock<&'static Histogram> = OnceLock::new();
     HANDLE.get_or_init(|| metrics::histogram("hs_tensor_gemm_secs", &TIME_BUCKETS_SECS))

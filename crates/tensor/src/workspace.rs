@@ -63,18 +63,16 @@ fn checkout(len: usize) -> Vec<f32> {
         best.map(|(i, _)| arena.swap_remove(i))
     });
     let buf = match hit {
-        Some(mut buf) => {
+        Some(buf) => {
             REUSES.fetch_add(1, Ordering::Relaxed);
-            // SAFETY-free resize: set_len via resize keeps it simple; the
-            // caller decides whether contents must be zeroed.
-            buf.resize(len, 0.0);
             buf
         }
         None => {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
-            let mut buf = Vec::with_capacity(want);
-            buf.resize(len, 0.0);
-            buf
+            // Initialised once at its full size: a reuse hands out a prefix
+            // as is, so no checkout re-zeroes the tail a shorter one left.
+            // The caller decides whether contents must be zeroed.
+            vec![0.0; want]
         }
     };
     let bytes = (buf.capacity() * std::mem::size_of::<f32>()) as u64;
@@ -147,6 +145,16 @@ mod tests {
         with_scratch_zeroed(len, |s| {
             assert!(s.iter().all(|&x| x == 0.0));
         });
+    }
+
+    #[test]
+    fn reuse_does_not_rezero_what_a_shorter_checkout_left() {
+        // A warm arena hands buffers out as they are: a long checkout after
+        // a short one must not pay for zeroing the tail again.
+        let len = 9_999;
+        with_scratch(len, |s| s.fill(2.0));
+        with_scratch(10, |s| s.fill(0.5));
+        with_scratch(len, |s| assert_eq!(s[len - 1], 2.0));
     }
 
     #[test]

@@ -46,12 +46,13 @@ fn index_select_axis0_is_row_extraction() {
     }
 }
 
-/// ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ for random geometries — the
-/// adjoint identity that conv backprop correctness rests on.
+/// ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ for random geometries and batch
+/// counts — the adjoint identity that conv backprop correctness rests on.
 #[test]
 fn im2col_col2im_adjoint() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from(seed);
+        let batch = 1 + rng.below(4);
         let c = 1 + rng.below(3);
         let h = 4 + rng.below(5);
         let k = 1 + rng.below(3);
@@ -61,8 +62,11 @@ fn im2col_col2im_adjoint() {
             continue;
         }
         let geom = Conv2dGeometry::new(c, h, h, k, stride, padding);
-        let x = Tensor::randn(Shape::d3(c, h, h), &mut rng);
-        let y = Tensor::randn(Shape::d2(geom.col_rows(), geom.col_cols()), &mut rng);
+        let x = Tensor::randn(Shape::d4(batch, c, h, h), &mut rng);
+        let y = Tensor::randn(
+            Shape::d2(geom.col_rows(), batch * geom.col_cols()),
+            &mut rng,
+        );
         let lhs: f64 = im2col(&x, &geom)
             .unwrap()
             .data()
@@ -78,7 +82,7 @@ fn im2col_col2im_adjoint() {
             .sum();
         assert!(
             (lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()),
-            "seed {seed}: {lhs} vs {rhs}"
+            "seed {seed} batch {batch}: {lhs} vs {rhs}"
         );
     }
 }
