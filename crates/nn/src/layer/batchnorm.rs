@@ -106,8 +106,10 @@ impl BatchNorm2d {
         let (b, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
         let per_channel = b * h * w;
         let plane = h * w;
-        let mut out = input.clone();
-        let mut x_hat = Tensor::zeros(shape.clone());
+        let x = input.data();
+        let mut out = vec![0.0f32; x.len()];
+        // Only a training forward feeds `backward`; eval builds no cache.
+        let mut x_hat = train.then(|| vec![0.0f32; x.len()]);
         let mut inv_stds = vec![0.0f32; c];
         #[allow(clippy::needless_range_loop)] // `ch` also derives plane offsets
         for ch in 0..c {
@@ -116,7 +118,7 @@ impl BatchNorm2d {
                 let mut sq = 0.0f64;
                 for bi in 0..b {
                     let base = (bi * c + ch) * plane;
-                    for &v in &input.data()[base..base + plane] {
+                    for &v in &x[base..base + plane] {
                         sum += v as f64;
                         sq += (v as f64) * (v as f64);
                     }
@@ -141,23 +143,33 @@ impl BatchNorm2d {
             let be = self.beta.value.data()[ch];
             for bi in 0..b {
                 let base = (bi * c + ch) * plane;
-                for i in base..base + plane {
-                    let xh = (input.data()[i] - mean) * inv_std;
-                    x_hat.data_mut()[i] = xh;
-                    out.data_mut()[i] = g * xh + be;
+                let xs = &x[base..base + plane];
+                let ys = &mut out[base..base + plane];
+                match x_hat.as_mut() {
+                    Some(x_hat) => {
+                        let xhs = &mut x_hat[base..base + plane];
+                        for ((y, xh), &v) in ys.iter_mut().zip(xhs).zip(xs) {
+                            *xh = (v - mean) * inv_std;
+                            *y = g * *xh + be;
+                        }
+                    }
+                    None => {
+                        for (y, &v) in ys.iter_mut().zip(xs) {
+                            *y = g * ((v - mean) * inv_std) + be;
+                        }
+                    }
                 }
             }
         }
-        if train {
-            self.cache = Some(BnCache {
-                x_hat,
+        self.cache = match x_hat {
+            Some(x_hat) => Some(BnCache {
+                x_hat: Tensor::from_vec(shape.clone(), x_hat)?,
                 inv_std: inv_stds,
                 batch_shape: shape.clone(),
-            });
-        } else {
-            self.cache = None;
-        }
-        Ok(out)
+            }),
+            None => None,
+        };
+        Ok(Tensor::from_vec(shape.clone(), out)?)
     }
 
     /// Backward pass.
@@ -265,6 +277,31 @@ mod tests {
         // close to normalized too — but crucially it must be deterministic.
         let y_eval2 = bn.forward(&x, false).unwrap();
         assert_eq!(y_eval, y_eval2);
+    }
+
+    #[test]
+    fn eval_forward_is_the_running_stats_affine_map_and_keeps_no_cache() {
+        let mut rng = Rng::seed_from(3);
+        let mut bn = BatchNorm2d::from_parts(
+            Tensor::from_vec(Shape::d1(2), vec![1.5, 0.5]).unwrap(),
+            Tensor::from_vec(Shape::d1(2), vec![0.2, -0.3]).unwrap(),
+            Tensor::from_vec(Shape::d1(2), vec![0.1, -0.7]).unwrap(),
+            Tensor::from_vec(Shape::d1(2), vec![2.0, 0.3]).unwrap(),
+        )
+        .unwrap();
+        let x = Tensor::randn(Shape::d4(3, 2, 2, 3), &mut rng);
+        let y = bn.forward(&x, false).unwrap();
+        for (i, (&v, &got)) in x.data().iter().zip(y.data()).enumerate() {
+            let ch = (i / 6) % 2;
+            let inv_std = 1.0 / (bn.running_var.data()[ch] + bn.eps).sqrt();
+            let xh = (v - bn.running_mean.data()[ch]) * inv_std;
+            let want = bn.gamma.value.data()[ch] * xh + bn.beta.value.data()[ch];
+            assert_eq!(got.to_bits(), want.to_bits(), "element {i}");
+        }
+        assert!(matches!(
+            bn.backward(&y),
+            Err(NnError::NoForwardCache { .. })
+        ));
     }
 
     #[test]

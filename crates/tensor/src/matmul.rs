@@ -1,23 +1,33 @@
 //! Matrix multiplication: the workhorse kernel behind convolution
 //! (via im2col lowering) and fully connected layers.
 //!
-//! The implementation is a BLIS-style cache-blocked GEMM: operands are
-//! packed into contiguous panels (`MC`×`KC` strips of A, `KC`×`NC` panels
-//! of B) and multiplied by an `MR`×`NR` register-tiled microkernel. Large
+//! The implementation is a BLIS-style cache-blocked GEMM. Only B is
+//! packed, into contiguous `KC`×`NR` panels; A is read in place by an
+//! `MR`×`NR` register-tiled microkernel through a row offset and a column
+//! stride (`(k, 1)` for `A`, `(1, m)` for `Aᵀ`), so a call never copies
+//! the weight matrix. A partial strip of fewer than `MR` rows repeats its
+//! last valid row and never stores the extra accumulator rows. Large
 //! problems parallelize over disjoint row blocks of the output on the
-//! persistent [`crate::pool`] — no per-call thread spawning — and small
-//! problems fall back to a naive loop that skips packing overhead.
+//! persistent [`crate::pool`] — no per-call thread spawning. Every problem,
+//! however small, runs this one kernel, so an output element's bits do not
+//! depend on how many other rows or columns share its call: a batch-1
+//! forward pass yields the same logits as the same sample inside a batch.
 //!
 //! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled by
-//! [`gemm_ex`] through the packing step, so backpropagation never
-//! materializes a transposed copy, and `accumulate = true` adds into an
-//! existing output buffer (used to accumulate weight gradients in place).
+//! [`gemm_ex`] through the A strides and the B packing step, so
+//! backpropagation never materializes a transposed copy, and
+//! `accumulate = true` adds into an existing output buffer (used to
+//! accumulate weight gradients in place).
 //!
 //! # Determinism
 //!
-//! The `KC` reduction blocks are applied sequentially in a fixed order and
-//! every output element is owned by exactly one parallel task, so results
-//! are bit-identical for any `HS_NUM_THREADS` setting.
+//! For each (strip, panel, `KC` block) the accumulator starts at zero,
+//! takes one multiply-add per depth step in ascending order (fused on the
+//! AVX2 kernel), and is then added to the output; the `KC` blocks are
+//! applied sequentially in a fixed order and every output element is
+//! owned by exactly one parallel task. Results are therefore bit-identical
+//! for any `HS_NUM_THREADS` setting, and reading A in place gives the same
+//! bits as packing it did.
 
 use crate::error::TensorError;
 use crate::pool;
@@ -30,8 +40,8 @@ use crate::workspace::with_scratch;
 /// threaded; pool dispatch overhead dominates below it.
 pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 18;
 
-/// Below this many multiply-accumulates, packing overhead exceeds the
-/// microkernel's cache benefit; use the naive loops instead.
+/// Below this many multiply-accumulates a GEMM is not timed (see
+/// [`gemm_ex`]); it runs the same blocked kernel as every other call.
 const SMALL_THRESHOLD: usize = 1 << 13;
 
 /// Microkernel register tile: rows of A per strip.
@@ -42,21 +52,11 @@ const NR: usize = 8;
 /// boundaries — and therefore results — do not depend on the block
 /// partition).
 const MC: usize = 64;
-/// Depth of the shared-K cache block; one packed A strip (`KC`×`MR`) fits
-/// comfortably in L1, a packed B panel (`KC`×`NR`) in L2.
+/// Depth of the shared-K cache block; one A strip (`KC`×`MR`, read in
+/// place) fits comfortably in L1, a packed B panel (`KC`×`NR`) in L2.
 const KC: usize = 256;
 /// Columns of B per outer block; bounds packed-B scratch at `KC`×`NC`.
 const NC: usize = 2048;
-
-#[inline(always)]
-fn a_at(a: &[f32], m: usize, k: usize, i: usize, p: usize, trans: bool) -> f32 {
-    if trans {
-        // Stored k×m, logical element (i, p) lives at row p, column i.
-        a[p * m + i]
-    } else {
-        a[i * k + p]
-    }
-}
 
 #[inline(always)]
 fn b_at(b: &[f32], k: usize, n: usize, p: usize, j: usize, trans: bool) -> f32 {
@@ -65,64 +65,6 @@ fn b_at(b: &[f32], k: usize, n: usize, p: usize, j: usize, trans: bool) -> f32 {
         b[j * k + p]
     } else {
         b[p * n + j]
-    }
-}
-
-/// Naive fallback for problems too small to amortize packing. Skips zero
-/// multipliers, which matters for pruned (masked) weight matrices.
-#[allow(clippy::too_many_arguments)]
-fn gemm_small(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    trans_a: bool,
-    trans_b: bool,
-) {
-    for i in 0..m {
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for p in 0..k {
-            let a_ip = a_at(a, m, k, i, p, trans_a);
-            if a_ip == 0.0 {
-                continue;
-            }
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o += a_ip * b_at(b, k, n, p, j, trans_b);
-            }
-        }
-    }
-}
-
-/// Packs the `mc`×`kc` block of A starting at (`ic`, `pc`) into `MR`-row
-/// strips: `ap[strip][p * MR + r] = A(ic + strip·MR + r, pc + p)`,
-/// zero-padding rows past `mc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    ap: &mut [f32],
-    a: &[f32],
-    m: usize,
-    k: usize,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
-    trans: bool,
-) {
-    for (si, strip) in (0..mc).step_by(MR).enumerate() {
-        let dst = &mut ap[si * kc * MR..(si + 1) * kc * MR];
-        let rows = MR.min(mc - strip);
-        for p in 0..kc {
-            let cell = &mut dst[p * MR..p * MR + MR];
-            for (r, slot) in cell.iter_mut().enumerate() {
-                *slot = if r < rows {
-                    a_at(a, m, k, ic + strip + r, pc + p, trans)
-                } else {
-                    0.0
-                };
-            }
-        }
     }
 }
 
@@ -157,16 +99,25 @@ fn pack_b(
     }
 }
 
-/// The register-tiled core: `acc[MR×NR] += Ap-strip · Bp-panel` over `kc`
-/// depth steps. Both operands are packed contiguously, so the inner loops
-/// are unit stride and the accumulator stays in registers.
+/// An `MR`-row strip of A read in place: row `r` at depth step `p` is
+/// `a[rows[r] + p * col_stride]`. `rows[r]` is the offset of the strip's
+/// first depth element in row `r`; a partial strip repeats its last valid
+/// row, whose extra accumulator rows are never stored.
+struct AStrip<'a> {
+    a: &'a [f32],
+    rows: [usize; MR],
+    col_stride: usize,
+}
+
+/// The register-tiled core: `acc[MR×NR] += A-strip · Bp-panel` over `kc`
+/// depth steps, A read in place and B from its packed panel, so the
+/// accumulator stays in registers.
 #[inline(always)]
-fn microkernel_portable(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+fn microkernel_portable(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
     for p in 0..kc {
-        let a_cell = &ap[p * MR..p * MR + MR];
         let b_cell = &bp[p * NR..p * NR + NR];
         for r in 0..MR {
-            let a_rp = a_cell[r];
+            let a_rp = a.a[a.rows[r] + p * a.col_stride];
             let row = &mut acc[r * NR..r * NR + NR];
             for c in 0..NR {
                 row[c] += a_rp * b_cell[c];
@@ -177,12 +128,12 @@ fn microkernel_portable(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * 
 
 /// AVX2+FMA microkernel, selected at runtime when the CPU supports it.
 /// Holds the whole `MR`×`NR` accumulator in eight YMM registers; each
-/// depth step is one packed-B load plus `MR` broadcast-FMAs, so the only
-/// memory traffic in the hot loop is the two packed panels streaming
-/// from L1/L2.
+/// depth step is one packed-B load plus `MR` broadcast-FMAs from the A
+/// strip in place, so the only memory traffic in the hot loop is the B
+/// panel and one column of A.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MR, NR};
+    use super::{AStrip, MR, NR};
 
     // The single packed-B load per depth step assumes one YMM register
     // spans the full panel width.
@@ -191,21 +142,31 @@ mod x86 {
     /// # Safety
     ///
     /// Caller must ensure the CPU supports AVX2 and FMA (see
-    /// [`available`]) and that `ap`/`bp` hold at least `kc * 8` elements.
+    /// [`available`]). `bp` and every A row offset are bounds-checked here
+    /// before the unchecked loop.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    pub unsafe fn microkernel(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
         use std::arch::x86_64::*;
-        debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+        if kc == 0 {
+            return;
+        }
+        assert!(bp.len() >= kc * NR);
+        let last = (kc - 1) * a.col_stride;
+        assert!(a.rows.iter().all(|&o| o + last < a.a.len()));
+        // SAFETY: the loop reads `row_ptrs[r] + p * col_stride` for
+        // p < kc, inside `a.a` by the assert above, and `kc * NR` floats of
+        // `bp`, inside it by the first assert.
+        let row_ptrs = a.rows.map(|o| a.a.as_ptr().add(o));
         let mut rows = [_mm256_setzero_ps(); MR];
-        let mut a_ptr = ap.as_ptr();
+        let mut a_off = 0;
         let mut b_ptr = bp.as_ptr();
         for _ in 0..kc {
             let b_vec = _mm256_loadu_ps(b_ptr);
-            for (r, row) in rows.iter_mut().enumerate() {
-                let a_rp = _mm256_broadcast_ss(&*a_ptr.add(r));
+            for (row, ptr) in rows.iter_mut().zip(&row_ptrs) {
+                let a_rp = _mm256_broadcast_ss(&*ptr.add(a_off));
                 *row = _mm256_fmadd_ps(a_rp, b_vec, *row);
             }
-            a_ptr = a_ptr.add(MR);
+            a_off += a.col_stride;
             b_ptr = b_ptr.add(NR);
         }
         for (r, row) in rows.iter().enumerate() {
@@ -224,21 +185,21 @@ mod x86 {
 /// property of the machine, not the thread count, so determinism across
 /// `HS_NUM_THREADS` settings is unaffected.
 #[inline(always)]
-fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+fn microkernel(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
-        // SAFETY: feature presence checked above; packed panels are
-        // allocated at `kc * MR` / `kc * NR` by the callers.
-        unsafe { x86::microkernel(kc, ap, bp, acc) };
+        // SAFETY: feature presence checked above; the kernel checks its
+        // own bounds.
+        unsafe { x86::microkernel(kc, a, bp, acc) };
         return;
     }
-    microkernel_portable(kc, ap, bp, acc);
+    microkernel_portable(kc, a, bp, acc);
 }
 
-/// Multiplies one `mc`-row block of the output: packs the corresponding A
-/// block and sweeps the microkernel over every (strip, panel) pair,
-/// accumulating valid regions into `out_block` (full `n`-wide rows,
-/// columns `jc..jc + nc`).
+/// Multiplies one `mc`-row block of the output: sweeps the microkernel
+/// over every (strip, panel) pair, reading A in place, and accumulates
+/// valid regions into `out_block` (full `n`-wide rows, columns
+/// `jc..jc + nc`).
 #[allow(clippy::too_many_arguments)]
 fn gemm_block(
     out_block: &mut [f32],
@@ -255,27 +216,31 @@ fn gemm_block(
     nc: usize,
     trans_a: bool,
 ) {
-    let strips = mc.div_ceil(MR);
-    with_scratch(strips * kc * MR, |ap| {
-        pack_a(ap, a, m, k, ic, mc, pc, kc, trans_a);
-        for (si, strip) in (0..mc).step_by(MR).enumerate() {
-            let ap_strip = &ap[si * kc * MR..(si + 1) * kc * MR];
-            let rows = MR.min(mc - strip);
-            for (pj, jr) in (0..nc).step_by(NR).enumerate() {
-                let bp_panel = &bp[pj * kc * NR..(pj + 1) * kc * NR];
-                let cols = NR.min(nc - jr);
-                let mut acc = [0.0f32; MR * NR];
-                microkernel(kc, ap_strip, bp_panel, &mut acc);
-                for r in 0..rows {
-                    let dst = &mut out_block[(strip + r) * n + jc + jr..][..cols];
-                    let src = &acc[r * NR..r * NR + cols];
-                    for (o, &v) in dst.iter_mut().zip(src) {
-                        *o += v;
-                    }
+    // Element (i, p) of op(A) sits at `a[i * row_stride + p * col_stride]`.
+    let (row_stride, col_stride) = if trans_a { (1, m) } else { (k, 1) };
+    for strip in (0..mc).step_by(MR) {
+        let rows = MR.min(mc - strip);
+        let strip_a = AStrip {
+            a,
+            rows: std::array::from_fn(|r| {
+                (ic + strip + r.min(rows - 1)) * row_stride + pc * col_stride
+            }),
+            col_stride,
+        };
+        for (pj, jr) in (0..nc).step_by(NR).enumerate() {
+            let bp_panel = &bp[pj * kc * NR..(pj + 1) * kc * NR];
+            let cols = NR.min(nc - jr);
+            let mut acc = [0.0f32; MR * NR];
+            microkernel(kc, &strip_a, bp_panel, &mut acc);
+            for r in 0..rows {
+                let dst = &mut out_block[(strip + r) * n + jc + jr..][..cols];
+                let src = &acc[r * NR..r * NR + cols];
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o += v;
                 }
             }
         }
-    });
+    }
 }
 
 /// General matrix multiply into a caller-owned buffer:
@@ -318,15 +283,15 @@ pub fn gemm_ex(
     let work = m * k * n;
     telem::gemm_calls().inc();
     telem::gemm_flops().add(2 * work as u64);
-    if work < SMALL_THRESHOLD {
-        // No timing here: two clock reads would be measurable against a
-        // few thousand multiply-accumulates. The FLOPs are tallied apart so
-        // the timed rate can leave them out.
+    // Small problems run the same kernel but skip the timer: two clock
+    // reads would be measurable against a few thousand multiply-accumulates.
+    // Their FLOPs are tallied apart so the timed rate can leave them out.
+    let timer = if work < SMALL_THRESHOLD {
         telem::gemm_small_flops().add(2 * work as u64);
-        gemm_small(out, a, b, m, k, n, trans_a, trans_b);
-        return;
-    }
-    let timer = std::time::Instant::now();
+        None
+    } else {
+        Some(std::time::Instant::now())
+    };
     // Serial problems use one row block covering all of `m`; because MC is
     // a multiple of MR the strip decomposition (and hence every float
     // result) is identical either way.
@@ -358,7 +323,9 @@ pub fn gemm_ex(
             });
         }
     }
-    telem::gemm_secs().observe(timer.elapsed().as_secs_f64());
+    if let Some(timer) = timer {
+        telem::gemm_secs().observe(timer.elapsed().as_secs_f64());
+    }
 }
 
 impl Tensor {
@@ -492,6 +459,15 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
+    fn a_at(a: &[f32], m: usize, k: usize, i: usize, p: usize, trans: bool) -> f32 {
+        if trans {
+            // Stored k×m, logical element (i, p) lives at row p, column i.
+            a[p * m + i]
+        } else {
+            a[i * k + p]
+        }
+    }
+
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape().dim(0), a.shape().dim(1));
         let n = b.shape().dim(1);
@@ -611,7 +587,7 @@ mod tests {
     #[test]
     fn gemm_ex_all_variants_match_reference_on_awkward_dims() {
         let mut rng = Rng::seed_from(6);
-        // Prime-ish dims exercise every edge-padding path in the packers;
+        // Prime-ish dims exercise every partial strip and padded panel;
         // 97·61·53 exceeds PARALLEL_THRESHOLD so the pooled path runs too.
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -663,6 +639,148 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(a.matmul(&b).unwrap().data(), first.data());
         }
+    }
+
+    /// Rows `rows` of op(A), in the storage layout `trans_a` expects.
+    fn a_rows(a: &[f32], m: usize, k: usize, rows: &[usize], trans: bool) -> Vec<f32> {
+        if trans {
+            (0..k)
+                .flat_map(|p| rows.iter().map(move |&i| a[p * m + i]))
+                .collect()
+        } else {
+            rows.iter()
+                .flat_map(|&i| &a[i * k..(i + 1) * k])
+                .copied()
+                .collect()
+        }
+    }
+
+    /// Columns `cols` of op(B), in the storage layout `trans_b` expects.
+    fn b_cols(b: &[f32], k: usize, n: usize, cols: &[usize], trans: bool) -> Vec<f32> {
+        if trans {
+            cols.iter()
+                .flat_map(|&j| &b[j * k..(j + 1) * k])
+                .copied()
+                .collect()
+        } else {
+            (0..k)
+                .flat_map(|p| cols.iter().map(move |&j| b[p * n + j]))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn gemm_ex_on_slices_equals_the_block_of_the_full_product_bitwise() {
+        // A batch-1 call must give the very bits the same row or column
+        // gets inside a larger call. 27 rows is conv0's dcol (not a
+        // multiple of MR); k = 300 and 520 cross KC; the last two shapes
+        // exceed PARALLEL_THRESHOLD while most of their slices do not.
+        let mut rng = Rng::seed_from(9);
+        for &(m, k, n) in &[(27, 300, 70), (9, 16, 5), (97, 61, 53), (130, 520, 40)] {
+            let av: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+            let bv: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            let init: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.01 - 0.5).collect();
+            let slices: [(Vec<usize>, Vec<usize>); 4] = [
+                ((3..m - 2).collect(), (1..n - 3).collect()),
+                ((0..m).collect(), vec![n - 1]),
+                (vec![m / 2], (0..n).collect()),
+                (vec![m - 1], vec![0]),
+            ];
+            for &(ta, tb) in &[(false, false), (true, false), (false, true)] {
+                for &acc in &[false, true] {
+                    let mut full = init.clone();
+                    gemm_ex(&mut full, &av, &bv, m, k, n, ta, tb, acc);
+                    for (rows, cols) in &slices {
+                        let (sm, sn) = (rows.len(), cols.len());
+                        let sa = a_rows(&av, m, k, rows, ta);
+                        let sb = b_cols(&bv, k, n, cols, tb);
+                        let mut got: Vec<f32> = rows
+                            .iter()
+                            .flat_map(|&i| cols.iter().map(move |&j| (i, j)))
+                            .map(|(i, j)| init[i * n + j])
+                            .collect();
+                        gemm_ex(&mut got, &sa, &sb, sm, k, sn, ta, tb, acc);
+                        for (r, &i) in rows.iter().enumerate() {
+                            for (c, &j) in cols.iter().enumerate() {
+                                assert_eq!(
+                                    got[r * sn + c].to_bits(),
+                                    full[i * n + j].to_bits(),
+                                    "m={m} k={k} n={n} ta={ta} tb={tb} acc={acc} \
+                                     slice {sm}x{sn} at ({i}, {j})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `kernel` on one strip of `rows` valid rows starting at row
+    /// `row0` of op(A) against one packed panel of B, and checks every
+    /// valid row against `step` folded over the depth in ascending order.
+    fn check_microkernel(
+        kernel: fn(usize, &AStrip, &[f32], &mut [f32; MR * NR]),
+        step: fn(f32, f32, f32) -> f32,
+    ) {
+        let mut rng = Rng::seed_from(10);
+        let (m, k, n) = (27, 37, NR);
+        let av: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+        let bv: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+        let mut bp = vec![0.0f32; k * NR];
+        pack_b(&mut bp, &bv, k, n, 0, k, 0, n, false);
+        for trans in [false, true] {
+            // Stored as op(A) or as its transpose.
+            let stored: Vec<f32> = if trans {
+                (0..k)
+                    .flat_map(|p| (0..m).map(|i| av[i * k + p]).collect::<Vec<_>>())
+                    .collect()
+            } else {
+                av.clone()
+            };
+            let (row_stride, col_stride) = if trans { (1, m) } else { (k, 1) };
+            for (row0, rows) in [(0, MR), (8, MR), (24, 3)] {
+                let strip = AStrip {
+                    a: &stored,
+                    rows: std::array::from_fn(|r| (row0 + r.min(rows - 1)) * row_stride),
+                    col_stride,
+                };
+                let mut acc = [0.0f32; MR * NR];
+                kernel(k, &strip, &bp, &mut acc);
+                for r in 0..rows {
+                    for c in 0..NR {
+                        let want = (0..k).fold(0.0f32, |s, p| {
+                            step(av[(row0 + r) * k + p], bv[p * n + c], s)
+                        });
+                        assert_eq!(
+                            acc[r * NR + c].to_bits(),
+                            want.to_bits(),
+                            "trans={trans} row {} col {c}",
+                            row0 + r
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_microkernel_matches_scalar_reference_bitwise() {
+        // Hosts with AVX2 never dispatch here, so call it directly.
+        check_microkernel(microkernel_portable, |a, b, s| s + a * b);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_microkernel_matches_fused_reference_bitwise() {
+        if !x86::available() {
+            return;
+        }
+        check_microkernel(
+            // SAFETY: AVX2 and FMA presence checked above.
+            |kc, a, bp, acc| unsafe { x86::microkernel(kc, a, bp, acc) },
+            |a, b, s| a.mul_add(b, s),
+        );
     }
 
     #[test]

@@ -27,11 +27,12 @@ cached_counter!(col2im_calls, "hs_tensor_col2im_calls_total");
 cached_counter!(pool_batches, "hs_tensor_pool_batches_total");
 cached_counter!(pool_tasks, "hs_tensor_pool_tasks_total");
 
-/// Wall-clock seconds of blocked (non-naive) GEMM calls. The naive
-/// small-problem path skips timing: two `Instant` reads would be
-/// measurable against a few thousand multiply-accumulates. Its FLOPs are
-/// counted apart in `hs_tensor_gemm_small_flops_total`, so the timed rate
-/// is `(gemm_flops - gemm_small_flops) / gemm_secs`.
+/// Wall-clock seconds of GEMM calls at or above the small-problem
+/// threshold. Smaller calls run the same blocked kernel untimed: two
+/// `Instant` reads would be measurable against a few thousand
+/// multiply-accumulates. Their FLOPs are counted apart in
+/// `hs_tensor_gemm_small_flops_total`, so the timed rate is
+/// `(gemm_flops - gemm_small_flops) / gemm_secs`.
 pub(crate) fn gemm_secs() -> &'static Histogram {
     static HANDLE: OnceLock<&'static Histogram> = OnceLock::new();
     HANDLE.get_or_init(|| metrics::histogram("hs_tensor_gemm_secs", &TIME_BUCKETS_SECS))

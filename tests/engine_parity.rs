@@ -22,10 +22,13 @@ const REWARD_BITS: [u32; 12] = [
     1055989012, 1060205080, 1060205080, 1060205080,
 ];
 
-/// Final keep probabilities, as `f32::to_bits`.
+/// Final keep probabilities, as `f32::to_bits`. Re-recorded once, when
+/// GEMMs below the small-problem size (the policy's first conv) moved from
+/// a separate unfused loop onto the blocked FMA kernel; that moved these
+/// bits by at most 25 ulp and nothing else in this fixture.
 const PROB_BITS: [u32; 16] = [
-    1065349459, 1017027617, 1065317476, 1002536233, 1042626213, 1065299997, 1064129520, 1065341396,
-    1015733871, 1064782390, 1048370481, 1015234111, 1064955032, 1065268621, 997462632, 1009121424,
+    1065349459, 1017027626, 1065317476, 1002536244, 1042626238, 1065299997, 1064129518, 1065341396,
+    1015733871, 1064782390, 1048370483, 1015234119, 1064955032, 1065268621, 997462653, 1009121434,
 ];
 
 /// Inception eval accuracy, as `f32::to_bits`.
