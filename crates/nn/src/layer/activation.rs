@@ -52,11 +52,11 @@ impl ReLU {
                 ),
             });
         }
+        // A select to +0.0, not a multiply: a gated gradient is +0.0 as it
+        // always was, and the loop has no branch to mispredict.
         let mut dx = grad_out.clone();
         for (g, &keep) in dx.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *g = 0.0;
-            }
+            *g = if keep { *g } else { 0.0 };
         }
         Ok(dx)
     }

@@ -1,18 +1,29 @@
 //! 2-D convolution, the layer HeadStart prunes.
 
 use hs_tensor::workspace::with_scratch;
-use hs_tensor::{col2im_into, gemm_ex, im2col_into, Conv2dGeometry, Init, Rng, Shape, Tensor};
+use hs_tensor::{
+    col2im_into, gemm_ex, gemm_patches, Conv2dGeometry, Init, Patches, Rng, Shape, Tensor,
+    PANEL_COLS,
+};
 
 use crate::error::NnError;
 use crate::param::Param;
 
-/// 2-D convolution with square kernels, implemented by `im2col` + GEMM.
+/// 2-D convolution with square kernels, implemented as implicit GEMM.
 ///
-/// A batch is lowered a chunk of samples at a time: one `im2col` into a
-/// `[C·k·k, bs·oh·ow]` matrix and one GEMM per chunk forward, and one
-/// GEMM each for the weight and input gradients backward. Chunks hold as
-/// many samples as keep every lowered buffer within
-/// [`Conv2d::LOWERED_CHUNK_ELEMS`] floats (at least one sample).
+/// A batch runs a chunk of samples at a time. Forward is one patch GEMM
+/// per chunk ([`gemm_patches`]): the `[C·k·k, oh·ow·bs]` patch matrix is
+/// never stored, its GEMM panels are gathered straight from the input,
+/// and taps that are padding for a whole panel are skipped. Its columns
+/// are position-major (column `q·bs + s` is sample `s` at position `q`),
+/// and the forward chunk is a multiple of [`PANEL_COLS`] samples when it
+/// holds that many, so each panel is one output position of consecutive
+/// samples. Backward runs the weight gradient as a patch GEMM over the
+/// cached input (sample-major depth) and the input gradient as a dense
+/// GEMM plus `col2im`. Chunks hold as many samples as keep every chunk
+/// buffer within [`Conv2d::LOWERED_CHUNK_ELEMS`] floats (at least one
+/// sample). Outputs equal those of `im2col` + GEMM bit for bit whenever
+/// the weights are finite.
 ///
 /// The weight layout is `[out_channels, in_channels, k, k]` — axis 0 is the
 /// *filter* axis (pruned when this layer's own feature maps are dropped)
@@ -32,10 +43,12 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// Cap, in `f32` elements, on each lowered scratch buffer of one batch
-    /// chunk: the `[C·k·k, bs·oh·ow]` columns and the `[N, bs·oh·ow]` GEMM
-    /// output or gradient. Batches are lowered in chunks of as many samples
-    /// as fit (at least one), so scratch memory stays bounded for any batch.
+    /// Cap, in `f32` elements, on each scratch buffer of one batch chunk:
+    /// the `[C·k·k, bs·oh·ow]` extent of its patch matrix (the input
+    /// gradient's columns, and a bound on the GEMM's packed panels) and the
+    /// `[N, bs·oh·ow]` GEMM output or gradient. Batches run in chunks of as
+    /// many samples as fit (at least one), so scratch memory stays bounded
+    /// for any batch.
     pub const LOWERED_CHUNK_ELEMS: usize = 1 << 16;
 
     /// Creates a convolution with Kaiming-normal weights and zero bias.
@@ -135,8 +148,8 @@ impl Conv2d {
         )
     }
 
-    /// Samples lowered together: as many as keep the largest lowered
-    /// buffer of one chunk within [`Self::LOWERED_CHUNK_ELEMS`], at least one.
+    /// Samples run together: as many as keep the largest buffer of one
+    /// chunk within [`Self::LOWERED_CHUNK_ELEMS`], at least one.
     fn chunk_len(&self, geom: &Conv2dGeometry, batch: usize) -> usize {
         let per_sample = geom.col_rows().max(self.out_channels()) * geom.col_cols();
         (Self::LOWERED_CHUNK_ELEMS / per_sample).clamp(1, batch.max(1))
@@ -165,39 +178,41 @@ impl Conv2d {
         // operand row-major — use it in place, no clone/reshape.
         let w2d = self.weight.value.data();
         let bias = self.bias.value.data();
-        let col_rows = geom.col_rows();
         let sample_len = geom.input_len();
-        let chunk = self.chunk_len(&geom, batch);
+        // A chunk of a multiple of PANEL_COLS samples makes every patch
+        // panel one output position of consecutive samples.
+        let chunk = match self.chunk_len(&geom, batch) {
+            c if c >= PANEL_COLS => c / PANEL_COLS * PANEL_COLS,
+            c => c,
+        };
         let mut out = vec![0.0f32; batch * n * positions];
         for b0 in (0..batch).step_by(chunk) {
             let bs = chunk.min(batch - b0);
             let cols = bs * positions;
             let x = &input.data()[b0 * sample_len..][..bs * sample_len];
             let y = &mut out[b0 * n * positions..][..bs * n * positions];
-            // Lower the chunk into workspace scratch: after warm-up this
-            // whole loop performs zero heap allocations.
-            with_scratch(col_rows * cols, |col| {
-                im2col_into(x, col, &geom, bs);
-                if bs == 1 {
-                    // One sample's [N, oh·ow] product is already its output.
-                    gemm_ex(y, w2d, col, n, col_rows, cols, false, false, false);
-                    for (yf, &b) in y.chunks_mut(positions).zip(bias) {
-                        yf.iter_mut().for_each(|v| *v += b);
-                    }
-                    return;
+            let patches = Patches::new(x, &geom, bs);
+            if bs == 1 {
+                // One sample's [N, oh·ow] product is already its output.
+                gemm_patches(y, w2d, &patches, n, false);
+                for (yf, &b) in y.chunks_mut(positions).zip(bias) {
+                    yf.iter_mut().for_each(|v| *v += b);
                 }
-                // [N, bs·oh·ow] → [bs, N, oh, ow], adding the bias.
-                with_scratch(n * cols, |y2| {
-                    gemm_ex(y2, w2d, col, n, col_rows, cols, false, false, false);
-                    for (f, (row, &b)) in y2.chunks(cols).zip(bias).enumerate() {
-                        for (s, src) in row.chunks(positions).enumerate() {
-                            let dst = &mut y[(s * n + f) * positions..][..positions];
-                            for (d, &v) in dst.iter_mut().zip(src) {
-                                *d = v + b;
-                            }
+                continue;
+            }
+            // Workspace scratch: after warm-up this loop performs zero heap
+            // allocations.
+            with_scratch(n * cols, |y2| {
+                gemm_patches(y2, w2d, &patches, n, false);
+                // [N, oh·ow·bs] position-major → [bs, N, oh, ow], adding the
+                // bias.
+                for (f, (row, &b)) in y2.chunks(cols).zip(bias).enumerate() {
+                    for (q, samples) in row.chunks(bs).enumerate() {
+                        for (s, &v) in samples.iter().enumerate() {
+                            y[(s * n + f) * positions + q] = v + b;
                         }
                     }
-                });
+                }
             });
         }
         if train {
@@ -259,14 +274,13 @@ impl Conv2d {
                     .sum::<f64>() as f32;
             }
             let mut lowered = |dy2: &[f32]| {
-                with_scratch(col_rows * cols, |col| {
-                    // Recomputed im2col: trades FLOPs for activation memory.
-                    im2col_into(x, col, &geom, bs);
-                    // dW += dY₂ · colᵀ
-                    gemm_ex(wgrad, dy2, col, n, cols, col_rows, false, true, true);
-                    // dX = col2im(Wᵀ · dY₂), reusing the spent columns.
-                    gemm_ex(col, w2d, dy2, col_rows, n, cols, true, false, false);
-                    col2im_into(col, dxc, &geom, bs, false);
+                // dW += dY₂ · colᵀ, the patch columns gathered from the
+                // cached input as the GEMM packs them.
+                gemm_patches(wgrad, dy2, &Patches::transposed(x, &geom, bs), n, true);
+                with_scratch(col_rows * cols, |dcol| {
+                    // dX = col2im(Wᵀ · dY₂)
+                    gemm_ex(dcol, w2d, dy2, col_rows, n, cols, true, false, false);
+                    col2im_into(dcol, dxc, &geom, bs, false);
                 });
             };
             if bs == 1 {
@@ -296,6 +310,7 @@ impl Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hs_tensor::im2col_into;
 
     fn finite_diff_check(conv: &mut Conv2d, x: &Tensor, eps: f32, tol: f32) {
         // Scalar objective: sum of outputs. Analytic gradients via

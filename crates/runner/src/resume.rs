@@ -98,6 +98,10 @@ pub(crate) fn run_journaled(
     resume: Option<Journal>,
 ) -> Result<PipelineReport, RunnerError> {
     std::fs::create_dir_all(dir)?;
+    // The journal keeps the configuration as given (`checkpoint: null`
+    // when none was named), so it does not depend on where the run
+    // directory is; only the working copy defaults to `DIR/pretrained.hsck`.
+    let given = cfg;
     let mut cfg = cfg.clone();
     if cfg.checkpoint.is_none() {
         cfg.checkpoint = Some(dir.join(PRETRAINED_CHECKPOINT));
@@ -134,7 +138,7 @@ pub(crate) fn run_journaled(
             );
             journal
         }
-        None => Journal::new(cfg.clone(), prepared.original_accuracy),
+        None => Journal::new(given.clone(), prepared.original_accuracy),
     };
     journal.save(dir)?;
 

@@ -14,8 +14,16 @@
 //! persistent [`crate::pool`] for large matrices. Each task owns a disjoint
 //! slice of the output, so results are bit-identical for every thread
 //! count.
+//!
+//! Convolution itself never writes the patch matrix: [`Patches`] describes
+//! it, and [`crate::gemm_patches`] gathers each GEMM panel straight from
+//! the activations, skipping depth rows that are padding for the whole
+//! panel (implicit GEMM). [`im2col_into`] stays as the reference the patch
+//! GEMM is tested against; [`col2im_into`] still scatters the input
+//! gradient.
 
 use crate::error::TensorError;
+use crate::matmul::{KC, NR};
 use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
@@ -323,6 +331,277 @@ pub fn col2im_into(
     pool::run_tasks(tasks);
 }
 
+/// Where one index of a patch matrix reads from: a tap `(c, ky, kx)` or an
+/// output site (sample `s` at an output position). Pairing a tap with a
+/// site reads the input at `tap.lin + site.lin`, provided the plane
+/// coordinates `(tap.y + site.y, tap.x + site.x)` fall inside the plane;
+/// outside it the element is a padding zero. An `interior` site reads
+/// inside the plane with every tap.
+#[derive(Debug, Clone, Copy, Default)]
+struct Coord {
+    lin: isize,
+    y: i32,
+    x: i32,
+    interior: bool,
+}
+
+/// Plane coordinate of a panel column past the operand's last column: no
+/// row pairs with it inside the plane, so it packs as zero.
+const NO_COLUMN: i32 = i32::MIN / 2;
+
+/// A convolution's patch matrix, described rather than stored: the GEMM's
+/// B-packing step ([`crate::gemm_patches`]) gathers each `KC`×`NR` panel
+/// straight from the `[B, C, H, W]` activations through the geometry, so
+/// no `[C·k·k, B·oh·ow]` buffer is ever written. A panel keeps only the
+/// depth rows that read a real pixel for at least one of its columns.
+///
+/// Two orientations cover convolution's two patch GEMMs:
+///
+/// - [`Patches::new`]: the forward operand `[C·k·k, P·B]` (`P = oh·ow`).
+///   Row `t` is tap `(c, ky, kx)`; columns are **position-major**, column
+///   `q·B + s` being sample `s` at output position `q`. With `B` a multiple
+///   of [`crate::PANEL_COLS`], every panel is one position of consecutive
+///   samples, so a tap is padding for all of a panel's columns or none.
+/// - [`Patches::transposed`]: the weight-gradient operand `[B·P, C·k·k]`,
+///   the transpose of [`im2col_into`]'s sample-major matrix. Row `s·P + q`
+///   is sample `s` at position `q`, column `t` is a tap.
+///
+/// Column order never changes an output element's bits: each is its own
+/// dot product over the depth.
+#[derive(Debug, Clone, Copy)]
+pub struct Patches<'a> {
+    input: &'a [f32],
+    geom: Conv2dGeometry,
+    batch: usize,
+    transposed: bool,
+}
+
+impl<'a> Patches<'a> {
+    /// The position-major forward operand of `batch` consecutive samples
+    /// (`input` is a flat `[B, C, H, W]` slice).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not hold `batch` samples of `geom`.
+    pub fn new(input: &'a [f32], geom: &Conv2dGeometry, batch: usize) -> Self {
+        assert_eq!(
+            input.len(),
+            batch * geom.input_len(),
+            "Patches: input length mismatch"
+        );
+        Patches {
+            input,
+            geom: *geom,
+            batch,
+            transposed: false,
+        }
+    }
+
+    /// The sample-major transposed operand of `batch` consecutive samples,
+    /// the B of `dW += dY·colᵀ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not hold `batch` samples of `geom`.
+    pub fn transposed(input: &'a [f32], geom: &Conv2dGeometry, batch: usize) -> Self {
+        Patches {
+            transposed: true,
+            ..Patches::new(input, geom, batch)
+        }
+    }
+
+    /// Rows of the operand (the GEMM depth).
+    pub fn rows(&self) -> usize {
+        if self.transposed {
+            self.batch * self.geom.col_cols()
+        } else {
+            self.geom.col_rows()
+        }
+    }
+
+    /// Columns of the operand.
+    pub fn cols(&self) -> usize {
+        if self.transposed {
+            self.geom.col_rows()
+        } else {
+            self.geom.col_cols() * self.batch
+        }
+    }
+
+    /// Coordinates of taps `first..first + out.len()`.
+    fn taps(&self, first: usize, out: &mut [Coord]) {
+        let (k, w) = (self.geom.kernel, self.geom.in_w);
+        let plane = self.geom.in_h * w;
+        let (mut c, mut ky, mut kx) = (first / (k * k), first / k % k, first % k);
+        for slot in out {
+            *slot = Coord {
+                lin: (c * plane + ky * w + kx) as isize,
+                y: ky as i32,
+                x: kx as i32,
+                interior: false,
+            };
+            kx += 1;
+            if kx == k {
+                (kx, ky) = (0, ky + 1);
+                if ky == k {
+                    (ky, c) = (0, c + 1);
+                }
+            }
+        }
+    }
+
+    /// Coordinates of sites `first..first + out.len()` in operand order:
+    /// sample-minor (`q·B + s`) for the forward operand, sample-major
+    /// (`s·P + q`) for the transposed one.
+    fn sites(&self, first: usize, out: &mut [Coord]) {
+        let g = &self.geom;
+        let (ow, positions) = (g.out_w(), g.col_cols());
+        let (k, h, w) = (g.kernel as isize, g.in_h as isize, g.in_w as isize);
+        let (mut s, mut q) = if self.transposed {
+            (first / positions, first % positions)
+        } else {
+            (first % self.batch, first / self.batch)
+        };
+        for slot in out {
+            let y = (q / ow * g.stride) as isize - g.padding as isize;
+            let x = (q % ow * g.stride) as isize - g.padding as isize;
+            *slot = Coord {
+                lin: (s * g.input_len()) as isize + y * w + x,
+                y: y as i32,
+                x: x as i32,
+                interior: y >= 0 && y + k <= h && x >= 0 && x + k <= w,
+            };
+            if self.transposed {
+                q += 1;
+                if q == positions {
+                    (q, s) = (0, s + 1);
+                }
+            } else {
+                s += 1;
+                if s == self.batch {
+                    (s, q) = (0, q + 1);
+                }
+            }
+        }
+    }
+
+    /// Packs the `kc`×`nc` block at (`pc`, `jc`) into `NR`-column panels
+    /// with their kept-row lists (layout in the GEMM driver's `Rhs::pack`),
+    /// and returns the kept rows times valid columns summed over panels.
+    pub(crate) fn pack(
+        &self,
+        bp: &mut [f32],
+        kept: &mut [u32],
+        pc: usize,
+        kc: usize,
+        jc: usize,
+        nc: usize,
+    ) -> usize {
+        let mut rows = [Coord::default(); KC];
+        let rows = &mut rows[..kc];
+        if self.transposed {
+            self.sites(pc, rows);
+        } else {
+            self.taps(pc, rows);
+        }
+        let mut performed = 0;
+        for (pj, jr) in (0..nc).step_by(NR).enumerate() {
+            let cols = NR.min(nc - jr);
+            let mut col = [Coord {
+                y: NO_COLUMN,
+                x: NO_COLUMN,
+                ..Coord::default()
+            }; NR];
+            if self.transposed {
+                self.taps(jc + jr, &mut col[..cols]);
+            } else {
+                self.sites(jc + jr, &mut col[..cols]);
+            }
+            let list = &mut kept[pj * (kc + 1)..][..kc + 1];
+            let count = self.pack_panel(
+                &mut bp[pj * kc * NR..][..kc * NR],
+                &mut list[1..],
+                rows,
+                &col,
+                cols,
+            );
+            list[0] = count as u32;
+            performed += count * cols;
+        }
+        // Every kept row gathers one value per valid column.
+        telem::im2col_bytes().add((performed * std::mem::size_of::<f32>()) as u64);
+        performed
+    }
+
+    /// Gathers one panel: every row of `rows` against the panel's `cols`
+    /// valid columns, zero past them. Rows that are padding for every
+    /// column are dropped; the kept ones are packed back to back and their
+    /// depth offsets listed in `kept`. Returns how many rows were kept.
+    fn pack_panel(
+        &self,
+        panel: &mut [f32],
+        kept: &mut [u32],
+        rows: &[Coord],
+        col: &[Coord; NR],
+        cols: usize,
+    ) -> usize {
+        let (h, w) = (self.geom.in_h as u32, self.geom.in_w as u32);
+        let x = self.input;
+        let every_col = (1u32 << cols) - 1;
+        let col_y: [i32; NR] = std::array::from_fn(|c| col[c].y);
+        let col_x: [i32; NR] = std::array::from_fn(|c| col[c].x);
+        let col_lin: [isize; NR] = std::array::from_fn(|c| col[c].lin);
+        // Columns at one plane displacement (one position of several
+        // samples, or the taps of a 1×1 kernel) share every row's padding
+        // test; columns at consecutive pixels read a row as one slice.
+        let shared = col_y[..cols].iter().all(|&y| y == col_y[0])
+            && col_x[..cols].iter().all(|&x| x == col_x[0]);
+        let contiguous = cols == NR && (1..NR).all(|c| col_lin[c] == col_lin[0] + c as isize);
+        let cols_interior = col[..cols].iter().all(|c| c.interior);
+        let mut count = 0;
+        for (p, row) in rows.iter().enumerate() {
+            // Bit c: column c reads inside the plane (a negative coordinate
+            // wraps past the extent).
+            let inside =
+                |c: usize| (((row.y + col_y[c]) as u32) < h) & (((row.x + col_x[c]) as u32) < w);
+            let mask = if row.interior || cols_interior {
+                every_col
+            } else if shared {
+                if inside(0) {
+                    every_col
+                } else {
+                    0
+                }
+            } else {
+                (0..NR).fold(0, |mask, c| mask | u32::from(inside(c)) << c)
+            };
+            if mask == 0 {
+                continue;
+            }
+            let cell = &mut panel[count * NR..][..NR];
+            if mask == every_col && contiguous {
+                let base = (row.lin + col_lin[0]) as usize;
+                cell.copy_from_slice(&x[base..base + NR]);
+            } else if mask == every_col && cols == NR {
+                for (slot, &lin) in cell.iter_mut().zip(&col_lin) {
+                    *slot = x[(row.lin + lin) as usize];
+                }
+            } else {
+                for (c, (slot, &lin)) in cell.iter_mut().zip(&col_lin).enumerate() {
+                    *slot = if mask >> c & 1 == 1 {
+                        x[(row.lin + lin) as usize]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            kept[count] = p as u32;
+            count += 1;
+        }
+        count
+    }
+}
+
 /// Lowers a `[B, C, H, W]` batch to the `[C·k·k, B·oh·ow]` patch matrix.
 ///
 /// Allocates a fresh tensor; hot paths should prefer [`im2col_into`] with
@@ -387,6 +666,7 @@ pub fn col2im(col: &Tensor, geom: &Conv2dGeometry) -> Result<Tensor, TensorError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::{gemm_ex, gemm_patches};
     use crate::rng::Rng;
 
     #[test]
@@ -600,5 +880,123 @@ mod tests {
         for (t, f) in twice.iter().zip(&fresh) {
             assert_eq!(*t, 2.0 * f);
         }
+    }
+
+    /// Convolution shapes the patch GEMM must reproduce: 3×3 pad 1 at 1, 2,
+    /// 4 and 16 px (2 px with `C·k·k` = 288 across a `KC` block), stride 2,
+    /// unpadded 5×5, and 1×1 stride 2.
+    fn patch_geometries() -> [Conv2dGeometry; 7] {
+        [
+            Conv2dGeometry::new(3, 1, 1, 3, 1, 1),
+            Conv2dGeometry::new(32, 2, 2, 3, 1, 1),
+            Conv2dGeometry::new(4, 4, 4, 3, 1, 1),
+            Conv2dGeometry::new(3, 16, 16, 3, 1, 1),
+            Conv2dGeometry::new(3, 7, 7, 3, 2, 1),
+            Conv2dGeometry::new(2, 9, 9, 5, 1, 0),
+            Conv2dGeometry::new(5, 6, 6, 1, 2, 0),
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn patch_gemms_match_im2col_then_gemm_bitwise() {
+        // Batches 7, 9 and 17 give panels that straddle output positions,
+        // batch 8 one position per panel, batch 1 consecutive positions. 70
+        // filters span two MC row blocks, so larger shapes run as pooled
+        // tasks; 5 filters run as one block on the caller.
+        let mut rng = Rng::seed_from(21);
+        let mut randn = |len: usize| -> Vec<f32> { (0..len).map(|_| rng.normal()).collect() };
+        for g in patch_geometries() {
+            let (rows, p) = (g.col_rows(), g.col_cols());
+            for batch in [1, 7, 8, 9, 17] {
+                let cols = batch * p;
+                let x = randn(batch * g.input_len());
+                let mut col = vec![0.0f32; batch * g.col_len()];
+                im2col_into(&x, &mut col, &g, batch);
+                // Column `q·batch + s` of the forward operand is column
+                // `s·p + q` of the lowered matrix.
+                let sample_major = |pm: &[f32], m: usize| -> Vec<f32> {
+                    (0..m * cols)
+                        .map(|e| {
+                            let (i, s, q) = (e / cols, e % cols / p, e % p);
+                            pm[i * cols + q * batch + s]
+                        })
+                        .collect()
+                };
+                for m in [5, 70] {
+                    let what = format!("{g:?} batch={batch} m={m}");
+                    let w = randn(m * rows);
+                    let dy = randn(m * cols);
+                    for acc in [false, true] {
+                        // Forward: W · patches.
+                        let init = randn(m * cols);
+                        let mut want = sample_major(&init, m);
+                        gemm_ex(&mut want, &w, &col, m, rows, cols, false, false, acc);
+                        let mut got = init;
+                        gemm_patches(&mut got, &w, &Patches::new(&x, &g, batch), m, acc);
+                        assert_eq!(bits(&sample_major(&got, m)), bits(&want), "fwd {what}");
+                        // Weight gradient: dW (+)= dY · colᵀ.
+                        let init = randn(m * rows);
+                        let mut want = init.clone();
+                        gemm_ex(&mut want, &dy, &col, m, cols, rows, false, true, acc);
+                        let mut got = init;
+                        let t = Patches::transposed(&x, &g, batch);
+                        gemm_patches(&mut got, &dy, &t, m, acc);
+                        assert_eq!(bits(&got), bits(&want), "dW {what} acc={acc}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panels_keep_only_rows_that_read_a_pixel() {
+        // Two channels of a 1×1 map under a 3×3 pad-1 kernel: only the
+        // centre taps (rows 4 and 13) read a pixel.
+        let g = Conv2dGeometry::new(2, 1, 1, 3, 1, 1);
+        let x: Vec<f32> = (0..8 * 2).map(|i| i as f32 + 1.0).collect();
+        let (kc, nc) = (g.col_rows(), 8);
+        let mut bp = vec![f32::NAN; kc * NR];
+        let mut kept = vec![0u32; kc + 1];
+        let performed = Patches::new(&x, &g, 8).pack(&mut bp, &mut kept, 0, kc, 0, nc);
+        assert_eq!(&kept[..3], &[2, 4, 13]);
+        assert_eq!(performed, 2 * 8);
+        // One position, eight samples: channel 0 then channel 1.
+        let want: Vec<f32> = (0..2)
+            .flat_map(|c| (0..8).map(move |s| (s * 2 + c) as f32 + 1.0))
+            .collect();
+        assert_eq!(&bp[..2 * NR], &want[..]);
+        // Transposed (dW), three samples: depth rows are samples, columns
+        // taps. Panels 0-7 and 8-15 each hold a centre tap, 16-17 none.
+        let t = Patches::transposed(&x[..3 * 2], &g, 3);
+        let (kc, nc) = (t.rows(), t.cols());
+        let mut bp = vec![0.0f32; 3 * kc * NR];
+        let mut kept = vec![0u32; 3 * (kc + 1)];
+        let performed = t.pack(&mut bp, &mut kept, 0, kc, 0, nc);
+        let counts: Vec<u32> = kept.chunks(kc + 1).map(|l| l[0]).collect();
+        assert_eq!(counts, [3, 3, 0]);
+        assert_eq!(performed, 3 * 8 + 3 * 8);
+    }
+
+    #[test]
+    fn patch_gemm_is_exact_for_finite_weights_only() {
+        // A 1×1 map under a 3×3 pad-1 kernel reads one pixel, at the centre
+        // tap. An infinite weight on a padding tap makes the lowered
+        // product NaN (∞ × 0); the patch GEMM never takes that product.
+        let g = Conv2dGeometry::new(1, 1, 1, 3, 1, 1);
+        let x = [2.0f32];
+        let mut w = [0.5f32; 9];
+        w[0] = f32::INFINITY;
+        let mut col = [0.0f32; 9];
+        im2col_into(&x, &mut col, &g, 1);
+        let mut lowered = [0.0f32];
+        gemm_ex(&mut lowered, &w, &col, 1, 9, 1, false, false, false);
+        assert!(lowered[0].is_nan());
+        let mut implicit = [0.0f32];
+        gemm_patches(&mut implicit, &w, &Patches::new(&x, &g, 1), 1, false);
+        assert_eq!(implicit[0], 1.0);
     }
 }

@@ -1,5 +1,5 @@
-//! Matrix multiplication: the workhorse kernel behind convolution
-//! (via im2col lowering) and fully connected layers.
+//! Matrix multiplication: the workhorse kernel behind convolution and
+//! fully connected layers.
 //!
 //! The implementation is a BLIS-style cache-blocked GEMM. Only B is
 //! packed, into contiguous `KC`×`NR` panels; A is read in place by an
@@ -8,33 +8,54 @@
 //! the weight matrix. A partial strip of fewer than `MR` rows repeats its
 //! last valid row and never stores the extra accumulator rows. Large
 //! problems parallelize over disjoint row blocks of the output on the
-//! persistent [`crate::pool`] — no per-call thread spawning. Every problem,
-//! however small, runs this one kernel, so an output element's bits do not
-//! depend on how many other rows or columns share its call: a batch-1
-//! forward pass yields the same logits as the same sample inside a batch.
+//! persistent [`crate::pool`] — no per-call thread spawning; a problem with
+//! one row block runs it on the caller without building a task list. Every
+//! problem, however small, runs this one kernel, so an output element's
+//! bits do not depend on how many other rows or columns share its call: a
+//! batch-1 forward pass yields the same logits as the same sample inside a
+//! batch.
 //!
-//! All transpose variants (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are handled by
-//! [`gemm_ex`] through the A strides and the B packing step, so
-//! backpropagation never materializes a transposed copy, and
-//! `accumulate = true` adds into an existing output buffer (used to
-//! accumulate weight gradients in place).
+//! One blocked driver serves two kinds of B operand; only the packing step
+//! differs:
+//!
+//! - [`gemm_ex`] takes a dense B. All transpose variants (`A·B`, `Aᵀ·B`,
+//!   `A·Bᵀ`) are handled through the A strides and the B packing step, so
+//!   backpropagation never materializes a transposed copy, and
+//!   `accumulate = true` adds into an existing output buffer (used to
+//!   accumulate weight gradients in place).
+//! - [`gemm_patches`] takes a convolution's patch matrix
+//!   ([`crate::Patches`]), which is never stored: each panel is gathered
+//!   straight from the `[B, C, H, W]` activations (implicit GEMM). A
+//!   panel keeps only the depth rows that read a real pixel for at least
+//!   one of its columns; rows that are padding for every column are
+//!   skipped, and the microkernel walks the kept-row list, reading A at
+//!   those depths. A panel that keeps every row runs the plain depth loop.
 //!
 //! # Determinism
 //!
-//! For each (strip, panel, `KC` block) the accumulator starts at zero,
+//! For each (strip, panel, `KC` block) the accumulator starts at +0.0,
 //! takes one multiply-add per depth step in ascending order (fused on the
 //! AVX2 kernel), and is then added to the output; the `KC` blocks are
 //! applied sequentially in a fixed order and every output element is
 //! owned by exactly one parallel task. Results are therefore bit-identical
 //! for any `HS_NUM_THREADS` setting, and reading A in place gives the same
 //! bits as packing it did.
+//!
+//! Skipping a padding row leaves the bits unchanged for finite A: the
+//! skipped term is a product with a +0.0 padding value, so it is ±0.0, and
+//! adding ±0.0 leaves a nonzero accumulator as it was and a +0.0 one at
+//! +0.0. `KC` block boundaries stay at multiples of `KC` over the full
+//! depth, so the grouping of the sum does not move either. An infinite or
+//! NaN weight times a padding zero is NaN, which the skip drops; the
+//! patch GEMM is exact only for finite A.
 
 use crate::error::TensorError;
+use crate::im2col::Patches;
 use crate::pool;
 use crate::shape::Shape;
 use crate::telem;
 use crate::tensor::Tensor;
-use crate::workspace::with_scratch;
+use crate::workspace::{with_index_scratch, with_scratch};
 
 /// Problems smaller than this many multiply-accumulates stay single
 /// threaded; pool dispatch overhead dominates below it.
@@ -47,16 +68,21 @@ const SMALL_THRESHOLD: usize = 1 << 13;
 /// Microkernel register tile: rows of A per strip.
 const MR: usize = 8;
 /// Microkernel register tile: columns of B per panel.
-const NR: usize = 8;
+pub(crate) const NR: usize = 8;
 /// Rows of A per cache block (must be a multiple of `MR` so strip
 /// boundaries — and therefore results — do not depend on the block
 /// partition).
 const MC: usize = 64;
 /// Depth of the shared-K cache block; one A strip (`KC`×`MR`, read in
 /// place) fits comfortably in L1, a packed B panel (`KC`×`NR`) in L2.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Columns of B per outer block; bounds packed-B scratch at `KC`×`NC`.
 const NC: usize = 2048;
+
+/// Columns of B per packed panel. A convolution batch chunk of a multiple
+/// of this many samples makes every position-major patch panel one output
+/// position of consecutive samples (see [`crate::Patches::new`]).
+pub const PANEL_COLS: usize = NR;
 
 #[inline(always)]
 fn b_at(b: &[f32], k: usize, n: usize, p: usize, j: usize, trans: bool) -> f32 {
@@ -99,6 +125,101 @@ fn pack_b(
     }
 }
 
+/// The B operand of the blocked driver, told apart by how its panels are
+/// packed.
+#[derive(Clone, Copy)]
+enum Rhs<'a> {
+    /// A dense `k×n` matrix, or one stored `n×k` when `trans`.
+    Dense { b: &'a [f32], trans: bool },
+    /// A convolution patch matrix, gathered from its activations.
+    Patches(&'a Patches<'a>),
+}
+
+impl Rhs<'_> {
+    /// Packs the `kc`×`nc` block at (`pc`, `jc`) into `NR`-column panels
+    /// and records which depth rows each panel kept. Panel `pj` owns
+    /// `kept[pj·(kc+1)..][..kc+1]`: slot 0 holds its kept-row count, and
+    /// when that is below `kc` the next slots list the kept depth offsets
+    /// (relative to `pc`) in ascending order, their B rows packed back to
+    /// back at the start of the panel. Returns the multiply-adds per row of
+    /// A that the block takes: kept rows times valid columns, summed over
+    /// panels.
+    #[allow(clippy::too_many_arguments)]
+    fn pack(
+        &self,
+        bp: &mut [f32],
+        kept: &mut [u32],
+        k: usize,
+        n: usize,
+        pc: usize,
+        kc: usize,
+        jc: usize,
+        nc: usize,
+    ) -> usize {
+        match *self {
+            Rhs::Dense { b, trans } => {
+                pack_b(bp, b, k, n, pc, kc, jc, nc, trans);
+                for list in kept.chunks_mut(kc + 1) {
+                    list[0] = kc as u32;
+                }
+                kc * nc
+            }
+            Rhs::Patches(patches) => patches.pack(bp, kept, pc, kc, jc, nc),
+        }
+    }
+}
+
+/// The depth steps one panel takes within a `kc`-deep block.
+#[derive(Clone, Copy)]
+struct Depths<'a> {
+    kc: usize,
+    /// `None`: every step `0..kc`, in order. Otherwise only these depth
+    /// offsets, ascending and each below `kc` (checked by
+    /// [`PanelDepths::new`], the only place that builds a list); the panel
+    /// holds their B rows back to back.
+    kept: Option<&'a [u32]>,
+}
+
+impl Depths<'_> {
+    /// Depth steps, one packed B row each.
+    fn steps(&self) -> usize {
+        self.kept.map_or(self.kc, <[u32]>::len)
+    }
+}
+
+/// The kept-row lists of one packed `KC` block (layout in [`Rhs::pack`]),
+/// each checked once against the block depth so the microkernel can read
+/// A at those depths without a bounds check per step.
+struct PanelDepths<'a> {
+    kept: &'a [u32],
+    kc: usize,
+}
+
+impl<'a> PanelDepths<'a> {
+    fn new(kept: &'a [u32], kc: usize) -> Self {
+        for list in kept.chunks(kc + 1) {
+            let count = list[0] as usize;
+            assert!(count <= kc, "panel keeps {count} of {kc} rows");
+            if count < kc {
+                assert!(
+                    list[1..=count].iter().all(|&p| (p as usize) < kc),
+                    "kept depth outside the block"
+                );
+            }
+        }
+        PanelDepths { kept, kc }
+    }
+
+    fn panel(&self, pj: usize) -> Depths<'a> {
+        let list = &self.kept[pj * (self.kc + 1)..][..self.kc + 1];
+        let count = list[0] as usize;
+        Depths {
+            kc: self.kc,
+            kept: (count < self.kc).then(|| &list[1..=count]),
+        }
+    }
+}
+
 /// An `MR`-row strip of A read in place: row `r` at depth step `p` is
 /// `a[rows[r] + p * col_stride]`. `rows[r]` is the offset of the strip's
 /// first depth element in row `r`; a partial strip repeats its last valid
@@ -109,18 +230,26 @@ struct AStrip<'a> {
     col_stride: usize,
 }
 
-/// The register-tiled core: `acc[MR×NR] += A-strip · Bp-panel` over `kc`
-/// depth steps, A read in place and B from its packed panel, so the
-/// accumulator stays in registers.
+/// The register-tiled core: `acc[MR×NR] += A-strip · Bp-panel` over the
+/// panel's depth steps, A read in place and B from its packed panel, so
+/// the accumulator stays in registers.
 #[inline(always)]
-fn microkernel_portable(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
-    for p in 0..kc {
-        let b_cell = &bp[p * NR..p * NR + NR];
+fn microkernel_portable(depths: Depths, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
+    let mut step = |i: usize, p: usize| {
+        let b_cell = &bp[i * NR..i * NR + NR];
         for r in 0..MR {
             let a_rp = a.a[a.rows[r] + p * a.col_stride];
             let row = &mut acc[r * NR..r * NR + NR];
             for c in 0..NR {
                 row[c] += a_rp * b_cell[c];
+            }
+        }
+    };
+    match depths.kept {
+        None => (0..depths.kc).for_each(|p| step(p, p)),
+        Some(kept) => {
+            for (i, &p) in kept.iter().enumerate() {
+                step(i, p as usize);
             }
         }
     }
@@ -133,7 +262,7 @@ fn microkernel_portable(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * 
 /// panel and one column of A.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{AStrip, MR, NR};
+    use super::{AStrip, Depths, MR, NR};
 
     // The single packed-B load per depth step assumes one YMM register
     // spans the full panel width.
@@ -143,33 +272,46 @@ mod x86 {
     ///
     /// Caller must ensure the CPU supports AVX2 and FMA (see
     /// [`available`]). `bp` and every A row offset are bounds-checked here
-    /// before the unchecked loop.
+    /// before the unchecked loop; kept depths are below `kc` by
+    /// construction of [`Depths`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
+    pub unsafe fn microkernel(depths: Depths, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
         use std::arch::x86_64::*;
-        if kc == 0 {
+        if depths.steps() == 0 {
             return;
         }
-        assert!(bp.len() >= kc * NR);
-        let last = (kc - 1) * a.col_stride;
+        assert!(bp.len() >= depths.steps() * NR);
+        let last = (depths.kc - 1) * a.col_stride;
         assert!(a.rows.iter().all(|&o| o + last < a.a.len()));
-        // SAFETY: the loop reads `row_ptrs[r] + p * col_stride` for
-        // p < kc, inside `a.a` by the assert above, and `kc * NR` floats of
-        // `bp`, inside it by the first assert.
+        // SAFETY: the loop reads `row_ptrs[r] + p * col_stride` for depths
+        // p below `kc`, inside `a.a` by the assert above, and one
+        // `NR`-float B row per step, inside `bp` by the first assert.
         let row_ptrs = a.rows.map(|o| a.a.as_ptr().add(o));
-        let mut rows = [_mm256_setzero_ps(); MR];
-        let mut a_off = 0;
+        let mut acc_rows = [_mm256_setzero_ps(); MR];
         let mut b_ptr = bp.as_ptr();
-        for _ in 0..kc {
+        let mut step = |a_off: usize| {
             let b_vec = _mm256_loadu_ps(b_ptr);
-            for (row, ptr) in rows.iter_mut().zip(&row_ptrs) {
+            for (row, ptr) in acc_rows.iter_mut().zip(&row_ptrs) {
                 let a_rp = _mm256_broadcast_ss(&*ptr.add(a_off));
                 *row = _mm256_fmadd_ps(a_rp, b_vec, *row);
             }
-            a_off += a.col_stride;
             b_ptr = b_ptr.add(NR);
+        };
+        match depths.kept {
+            None => {
+                let mut a_off = 0;
+                for _ in 0..depths.kc {
+                    step(a_off);
+                    a_off += a.col_stride;
+                }
+            }
+            Some(kept) => {
+                for &p in kept {
+                    step(p as usize * a.col_stride);
+                }
+            }
         }
-        for (r, row) in rows.iter().enumerate() {
+        for (r, row) in acc_rows.iter().enumerate() {
             let sum = _mm256_add_ps(_mm256_loadu_ps(acc.as_ptr().add(r * NR)), *row);
             _mm256_storeu_ps(acc.as_mut_ptr().add(r * NR), sum);
         }
@@ -185,15 +327,15 @@ mod x86 {
 /// property of the machine, not the thread count, so determinism across
 /// `HS_NUM_THREADS` settings is unaffected.
 #[inline(always)]
-fn microkernel(kc: usize, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
+fn microkernel(depths: Depths, a: &AStrip, bp: &[f32], acc: &mut [f32; MR * NR]) {
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: feature presence checked above; the kernel checks its
         // own bounds.
-        unsafe { x86::microkernel(kc, a, bp, acc) };
+        unsafe { x86::microkernel(depths, a, bp, acc) };
         return;
     }
-    microkernel_portable(kc, a, bp, acc);
+    microkernel_portable(depths, a, bp, acc);
 }
 
 /// Multiplies one `mc`-row block of the output: sweeps the microkernel
@@ -205,6 +347,7 @@ fn gemm_block(
     out_block: &mut [f32],
     a: &[f32],
     bp: &[f32],
+    depths: &PanelDepths,
     m: usize,
     k: usize,
     n: usize,
@@ -231,7 +374,7 @@ fn gemm_block(
             let bp_panel = &bp[pj * kc * NR..(pj + 1) * kc * NR];
             let cols = NR.min(nc - jr);
             let mut acc = [0.0f32; MR * NR];
-            microkernel(kc, &strip_a, bp_panel, &mut acc);
+            microkernel(depths.panel(pj), &strip_a, bp_panel, &mut acc);
             for r in 0..rows {
                 let dst = &mut out_block[(strip + r) * n + jc + jr..][..cols];
                 let src = &acc[r * NR..r * NR + cols];
@@ -240,6 +383,82 @@ fn gemm_block(
                 }
             }
         }
+    }
+}
+
+/// The blocked driver behind [`gemm_ex`] and [`gemm_patches`]:
+/// `out[m×n] (+)= op(a) · B` for either kind of B operand.
+#[allow(clippy::too_many_arguments)]
+fn gemm_driver(
+    out: &mut [f32],
+    a: &[f32],
+    rhs: Rhs,
+    m: usize,
+    k: usize,
+    n: usize,
+    trans_a: bool,
+    accumulate: bool,
+) {
+    if !accumulate {
+        out.fill(0.0);
+    }
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let work = m * k * n;
+    // Small problems run the same kernel but skip the timer: two clock
+    // reads would be measurable against a few thousand multiply-accumulates.
+    let timer = (work >= SMALL_THRESHOLD).then(std::time::Instant::now);
+    // Serial problems use one row block covering all of `m`; because MC is
+    // a multiple of MR the strip decomposition (and hence every float
+    // result) is identical either way.
+    let block_rows = if work >= PARALLEL_THRESHOLD {
+        MC
+    } else {
+        m.div_ceil(MR) * MR
+    };
+    // Multiply-adds per row of A actually taken (padding rows skipped).
+    let mut performed = 0;
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
+        let panels = nc.div_ceil(NR);
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            with_scratch(panels * kc * NR, |bp| {
+                with_index_scratch(panels * (kc + 1), |kept| {
+                    performed += rhs.pack(bp, kept, k, n, pc, kc, jc, nc);
+                    let depths = PanelDepths::new(kept, kc);
+                    let (bp, depths) = (&*bp, &depths);
+                    if m <= block_rows {
+                        gemm_block(out, a, bp, depths, m, k, n, 0, m, pc, kc, jc, nc, trans_a);
+                        return;
+                    }
+                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
+                        .chunks_mut(block_rows * n)
+                        .enumerate()
+                        .map(|(bi, out_block)| {
+                            let ic = bi * block_rows;
+                            let mc = out_block.len() / n;
+                            Box::new(move || {
+                                gemm_block(
+                                    out_block, a, bp, depths, m, k, n, ic, mc, pc, kc, jc, nc,
+                                    trans_a,
+                                );
+                            }) as Box<dyn FnOnce() + Send + '_>
+                        })
+                        .collect();
+                    pool::run_tasks(tasks);
+                });
+            });
+        }
+    }
+    let flops = 2 * (m * performed) as u64;
+    telem::gemm_calls().inc();
+    telem::gemm_flops().add(flops);
+    match timer {
+        Some(timer) => telem::gemm_secs().observe(timer.elapsed().as_secs_f64()),
+        // Tallied apart so the timed rate can leave them out.
+        None => telem::gemm_small_flops().add(flops),
     }
 }
 
@@ -274,58 +493,32 @@ pub fn gemm_ex(
     assert_eq!(a.len(), m * k, "gemm_ex: lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_ex: rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_ex: out length mismatch");
-    if !accumulate {
-        out.fill(0.0);
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let work = m * k * n;
-    telem::gemm_calls().inc();
-    telem::gemm_flops().add(2 * work as u64);
-    // Small problems run the same kernel but skip the timer: two clock
-    // reads would be measurable against a few thousand multiply-accumulates.
-    // Their FLOPs are tallied apart so the timed rate can leave them out.
-    let timer = if work < SMALL_THRESHOLD {
-        telem::gemm_small_flops().add(2 * work as u64);
-        None
-    } else {
-        Some(std::time::Instant::now())
-    };
-    // Serial problems use one row block covering all of `m`; because MC is
-    // a multiple of MR the strip decomposition (and hence every float
-    // result) is identical either way.
-    let block_rows = if work >= PARALLEL_THRESHOLD {
-        MC
-    } else {
-        m.div_ceil(MR) * MR
-    };
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        let panels = nc.div_ceil(NR);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            with_scratch(panels * kc * NR, |bp| {
-                pack_b(bp, b, k, n, pc, kc, jc, nc, trans_b);
-                let bp = &*bp;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-                    .chunks_mut(block_rows * n)
-                    .enumerate()
-                    .map(|(bi, out_block)| {
-                        let ic = bi * block_rows;
-                        let mc = out_block.len() / n;
-                        Box::new(move || {
-                            gemm_block(out_block, a, bp, m, k, n, ic, mc, pc, kc, jc, nc, trans_a);
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool::run_tasks(tasks);
-            });
-        }
-    }
-    if let Some(timer) = timer {
-        telem::gemm_secs().observe(timer.elapsed().as_secs_f64());
-    }
+    let rhs = Rhs::Dense { b, trans: trans_b };
+    gemm_driver(out, a, rhs, m, k, n, trans_a, accumulate);
+}
+
+/// Implicit-GEMM convolution: `out[m×n] (+)= a · P`, where `a` is `m×k`
+/// row-major and `P` is the `k×n` patch operand `patches` (see
+/// [`crate::Patches`]). Each B panel is gathered straight from the
+/// activations, so the patch matrix is never stored, and depth rows that
+/// are padding for a whole panel are skipped. The bits equal those of
+/// [`crate::im2col_into`] followed by [`gemm_ex`] on the lowered matrix
+/// whenever `a` is finite.
+///
+/// Counts as one `hs_tensor_im2col_calls_total` call; the bytes gathered
+/// into panels go to `hs_tensor_im2col_bytes_total`, and
+/// `hs_tensor_gemm_flops_total` counts only the multiply-adds taken.
+///
+/// # Panics
+///
+/// Panics if `a` or `out` lengths do not match `m` and the operand's
+/// shape.
+pub fn gemm_patches(out: &mut [f32], a: &[f32], patches: &Patches, m: usize, accumulate: bool) {
+    let (k, n) = (patches.rows(), patches.cols());
+    assert_eq!(a.len(), m * k, "gemm_patches: lhs length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_patches: out length mismatch");
+    telem::im2col_calls().inc();
+    gemm_driver(out, a, Rhs::Patches(patches), m, k, n, false, accumulate);
 }
 
 impl Tensor {
@@ -717,47 +910,74 @@ mod tests {
     }
 
     /// Runs `kernel` on one strip of `rows` valid rows starting at row
-    /// `row0` of op(A) against one packed panel of B, and checks every
-    /// valid row against `step` folded over the depth in ascending order.
+    /// `row0` of op(A) against one packed panel of B, once over every
+    /// depth step and once over a kept-row list, and checks every valid row
+    /// against `step` folded over those depths in ascending order.
     fn check_microkernel(
-        kernel: fn(usize, &AStrip, &[f32], &mut [f32; MR * NR]),
+        kernel: fn(Depths, &AStrip, &[f32], &mut [f32; MR * NR]),
         step: fn(f32, f32, f32) -> f32,
     ) {
         let mut rng = Rng::seed_from(10);
         let (m, k, n) = (27, 37, NR);
         let av: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
         let bv: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
-        let mut bp = vec![0.0f32; k * NR];
-        pack_b(&mut bp, &bv, k, n, 0, k, 0, n, false);
-        for trans in [false, true] {
-            // Stored as op(A) or as its transpose.
-            let stored: Vec<f32> = if trans {
-                (0..k)
-                    .flat_map(|p| (0..m).map(|i| av[i * k + p]).collect::<Vec<_>>())
-                    .collect()
-            } else {
-                av.clone()
+        let all: Vec<u32> = (0..k as u32).collect();
+        let some: Vec<u32> = (0..k as u32).filter(|p| p % 3 != 1).collect();
+        for depths in [&all, &some] {
+            // The kept rows of B, packed back to back.
+            let kept_b: Vec<f32> = depths
+                .iter()
+                .flat_map(|&p| &bv[p as usize * n..][..n])
+                .copied()
+                .collect();
+            let mut bp = vec![0.0f32; depths.len() * NR];
+            pack_b(
+                &mut bp,
+                &kept_b,
+                depths.len(),
+                n,
+                0,
+                depths.len(),
+                0,
+                n,
+                false,
+            );
+            let steps = Depths {
+                kc: k,
+                kept: (depths.len() < k).then_some(&depths[..]),
             };
-            let (row_stride, col_stride) = if trans { (1, m) } else { (k, 1) };
-            for (row0, rows) in [(0, MR), (8, MR), (24, 3)] {
-                let strip = AStrip {
-                    a: &stored,
-                    rows: std::array::from_fn(|r| (row0 + r.min(rows - 1)) * row_stride),
-                    col_stride,
+            for trans in [false, true] {
+                // Stored as op(A) or as its transpose.
+                let stored: Vec<f32> = if trans {
+                    (0..k)
+                        .flat_map(|p| (0..m).map(|i| av[i * k + p]).collect::<Vec<_>>())
+                        .collect()
+                } else {
+                    av.clone()
                 };
-                let mut acc = [0.0f32; MR * NR];
-                kernel(k, &strip, &bp, &mut acc);
-                for r in 0..rows {
-                    for c in 0..NR {
-                        let want = (0..k).fold(0.0f32, |s, p| {
-                            step(av[(row0 + r) * k + p], bv[p * n + c], s)
-                        });
-                        assert_eq!(
-                            acc[r * NR + c].to_bits(),
-                            want.to_bits(),
-                            "trans={trans} row {} col {c}",
-                            row0 + r
-                        );
+                let (row_stride, col_stride) = if trans { (1, m) } else { (k, 1) };
+                for (row0, rows) in [(0, MR), (8, MR), (24, 3)] {
+                    let strip = AStrip {
+                        a: &stored,
+                        rows: std::array::from_fn(|r| (row0 + r.min(rows - 1)) * row_stride),
+                        col_stride,
+                    };
+                    let mut acc = [0.0f32; MR * NR];
+                    kernel(steps, &strip, &bp, &mut acc);
+                    for r in 0..rows {
+                        for c in 0..NR {
+                            let want = depths.iter().fold(0.0f32, |s, &p| {
+                                let p = p as usize;
+                                step(av[(row0 + r) * k + p], bv[p * n + c], s)
+                            });
+                            assert_eq!(
+                                acc[r * NR + c].to_bits(),
+                                want.to_bits(),
+                                "trans={trans} steps={} row {} col {c}",
+                                depths.len(),
+                                row0 + r
+                            );
+                        }
                     }
                 }
             }
@@ -778,7 +998,7 @@ mod tests {
         }
         check_microkernel(
             // SAFETY: AVX2 and FMA presence checked above.
-            |kc, a, bp, acc| unsafe { x86::microkernel(kc, a, bp, acc) },
+            |depths, a, bp, acc| unsafe { x86::microkernel(depths, a, bp, acc) },
             |a, b, s| a.mul_add(b, s),
         );
     }

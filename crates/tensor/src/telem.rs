@@ -21,6 +21,9 @@ macro_rules! cached_counter {
 cached_counter!(gemm_calls, "hs_tensor_gemm_calls_total");
 cached_counter!(gemm_flops, "hs_tensor_gemm_flops_total");
 cached_counter!(gemm_small_flops, "hs_tensor_gemm_small_flops_total");
+// Convolution never writes a lowered matrix: these two count patch
+// operands packed by `gemm_patches` (plus reference `im2col_into` calls)
+// and the bytes gathered into GEMM panels.
 cached_counter!(im2col_calls, "hs_tensor_im2col_calls_total");
 cached_counter!(im2col_bytes, "hs_tensor_im2col_bytes_total");
 cached_counter!(col2im_calls, "hs_tensor_col2im_calls_total");

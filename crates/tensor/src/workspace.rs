@@ -1,16 +1,17 @@
 //! Reusable scratch memory for kernels.
 //!
-//! im2col/col2im buffers and GEMM packing panels are needed for a few
-//! microseconds per call but were allocated fresh on every forward /
-//! backward in the seed. This module gives each thread a small arena of
-//! reusable `Vec<f32>` buffers: after warm-up, a training step or
-//! evaluator rollout performs zero scratch heap allocations.
+//! Convolution scratch (GEMM output and `dcol` buffers, packed B panels
+//! and their kept-row lists) is needed for a few microseconds per call but
+//! was allocated fresh on every forward / backward in the seed. This
+//! module gives each thread a small arena of reusable `Vec<f32>` buffers:
+//! after warm-up, a training step or evaluator rollout performs zero
+//! scratch heap allocations.
 //!
 //! Buffers are checked out with [`with_scratch`] / [`with_scratch_zeroed`]
-//! and returned automatically; nested checkouts (e.g. conv → im2col →
-//! gemm packing) draw distinct buffers from the same arena. Capacities are
-//! rounded up to powers of two so differently-sized layers share buffers
-//! instead of thrashing.
+//! and returned automatically; nested checkouts (e.g. conv output → GEMM
+//! panels → kept-row lists) draw distinct buffers from the same arena.
+//! Capacities are rounded up to powers of two so differently-sized layers
+//! share buffers instead of thrashing.
 //!
 //! Global counters ([`alloc_count`] / [`reuse_count`]) make "zero
 //! allocations after warm-up" directly testable.
@@ -102,6 +103,19 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     let out = f(&mut buf[..len]);
     give_back(buf);
     out
+}
+
+/// Like [`with_scratch`], but the buffer is viewed as `u32` slots (index
+/// lists, such as the GEMM's kept depth rows). It shares the `f32` arena
+/// and its counters.
+pub(crate) fn with_index_scratch<R>(len: usize, f: impl FnOnce(&mut [u32]) -> R) -> R {
+    with_scratch(len, |buf| {
+        // SAFETY: `f32` and `u32` have the same size and alignment, and
+        // every bit pattern is a valid value of both.
+        let slots =
+            unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u32>(), buf.len()) };
+        f(slots)
+    })
 }
 
 /// Like [`with_scratch`] but the buffer is zero-filled first.

@@ -4,13 +4,14 @@
 //! way to compare thread counts in one test run is to re-execute this
 //! test binary as a subprocess per configuration. The hidden `#[ignore]`
 //! test below computes a fingerprint over the parallel kernels (blocked
-//! GEMM in all transpose variants, pooled reductions, elementwise maps)
+//! GEMM in all transpose variants and over both convolution patch
+//! operands, pooled reductions, elementwise maps)
 //! and prints it; the driver runs it under `HS_NUM_THREADS=1` and `=4`
 //! and asserts the fingerprints are identical bit for bit.
 
 use std::process::Command;
 
-use hs_tensor::{Rng, Shape, Tensor};
+use hs_tensor::{gemm_patches, Conv2dGeometry, Patches, Rng, Shape, Tensor};
 
 fn fnv1a(hash: &mut u64, bits: u32) {
     for byte in bits.to_le_bytes() {
@@ -46,6 +47,22 @@ fn fingerprint() {
         &a.matmul_tn(&Tensor::randn(Shape::d2(192, 176), &mut rng))
             .unwrap(),
     );
+    // Implicit convolution: 72 filters span two row blocks, and batch 9
+    // gives panels that straddle output positions.
+    let geom = Conv2dGeometry::new(16, 8, 8, 3, 1, 1);
+    let x = Tensor::randn(Shape::d4(9, 16, 8, 8), &mut rng);
+    let w = Tensor::randn(Shape::d2(72, geom.col_rows()), &mut rng);
+    let mut y = vec![0.0f32; 72 * 9 * geom.col_cols()];
+    let (patches, transposed) = (
+        Patches::new(x.data(), &geom, 9),
+        Patches::transposed(x.data(), &geom, 9),
+    );
+    gemm_patches(&mut y, w.data(), &patches, 72, false);
+    let mut dw = vec![0.0f32; 72 * geom.col_rows()];
+    gemm_patches(&mut dw, &y, &transposed, 72, false);
+    for v in y.iter().chain(&dw) {
+        fnv1a(&mut hash, v.to_bits());
+    }
     let mut big = Tensor::randn(Shape::d2(256, 300), &mut rng);
     big.map_inplace(|v| v.max(0.0) * 1.000_1);
     fnv1a(&mut hash, big.sum().to_bits());

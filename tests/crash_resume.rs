@@ -90,6 +90,46 @@ fn journaled_run_matches_plain_run() {
 }
 
 #[test]
+fn journal_does_not_depend_on_the_run_dir_and_old_journals_resume() {
+    let _guard = lock();
+    disarm();
+    let journal = |dir: &Path| std::fs::read_to_string(dir.join("run.journal.json")).unwrap();
+    let mut cfg = lenet_config("cr-dirs");
+    let mut reports = Vec::new();
+    let dirs = [tmp_dir("cr-dirs-a"), tmp_dir("cr-dirs-b")];
+    for dir in &dirs {
+        cfg.run_dir = Some(dir.clone());
+        reports.push(run(&cfg).expect("journaled run"));
+    }
+    // No --checkpoint named: the journal says so instead of naming the
+    // default path inside its own directory.
+    assert!(journal(&dirs[0]).contains("\"checkpoint\": null"));
+    assert_eq!(journal(&dirs[0]), journal(&dirs[1]));
+
+    // A journal that names the default checkpoint path, as journals did
+    // before the configuration was kept as given, still resumes.
+    let old = tmp_dir("cr-dirs-old");
+    cfg.run_dir = Some(old.clone());
+    arm(FaultPlan::parse("kill_after:prune_unit:1").unwrap());
+    assert!(matches!(run(&cfg), Err(RunnerError::InjectedCrash { .. })));
+    disarm();
+    let named = format!(
+        "\"checkpoint\": {:?}",
+        old.join("pretrained.hsck").display().to_string()
+    );
+    let text = journal(&old).replace("\"checkpoint\": null", &named);
+    assert!(text.contains(&named));
+    std::fs::write(old.join("run.journal.json"), text).unwrap();
+    let resumed = resume_run(&old).expect("resume an old journal");
+    assert_parity(&reports[0], &resumed);
+    assert_eq!(
+        std::fs::read(dirs[0].join(FINAL_CHECKPOINT)).unwrap(),
+        std::fs::read(old.join(FINAL_CHECKPOINT)).unwrap(),
+        "final model bytes diverged"
+    );
+}
+
+#[test]
 fn killed_run_resumes_bit_identically() {
     let _guard = lock();
     disarm();
